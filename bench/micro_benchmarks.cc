@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -100,13 +101,15 @@ BENCHMARK(BM_GroupIndexBuildThreads)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Thread scaling of the greedy Line-2 initialization (marginal gains +
-// heap). A budget of 1 makes the selection loop negligible, so the run is
-// dominated by setup + init.
+// Thread scaling of the per-run Line-2 accumulation. Base runs copy the
+// instance's once-computed gains, so this runs a tiered run (every group
+// in tier 1), which accumulates its own gains on every call — the cost a
+// customized request pays. A budget of 1 makes the selection loop
+// negligible, so the run is dominated by setup + init.
 void BM_GreedyInitThreads(benchmark::State& state) {
   const DiversificationInstance& instance = SharedInstance();
   GreedyOptions options;
-  options.mode = GreedyMode::kLazyHeap;
+  options.group_tiers.assign(instance.groups().group_count(), 1);
   GreedySelector selector(options);
   util::ThreadPool::SetGlobalThreadCount(
       static_cast<std::size_t>(state.range(0)));
@@ -233,20 +236,43 @@ void BM_MarginalGainKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_MarginalGainKernel)->ArgsProduct({{64, 512, 4096}, {0, 1}});
 
+// One round's argmax over a base run's gain array: arg 0 users (a 250k
+// row is one shard of a 1M-user, 4-shard snapshot), integral gains with
+// heavy ties, every fourth user dead (-inf). Arg 1 pins the variant as in
+// BM_RetireKernel.
+void BM_ArgmaxKernel(benchmark::State& state) {
+  const auto users = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(23);
+  std::vector<double> gains(users);
+  for (std::size_t u = 0; u < users; ++u) {
+    gains[u] = u % 4 == 3 ? -std::numeric_limits<double>::infinity()
+                          : static_cast<double>(rng.NextBounded(4096));
+  }
+  const kernels::Variant variant = state.range(1) == 0
+                                       ? kernels::Variant::kScalar
+                                       : kernels::Variant::kAvx2;
+  kernels::ForceVariant(variant);
+  const kernels::Variant ran = kernels::ActiveVariant();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gains.data());
+    benchmark::DoNotOptimize(kernels::ArgmaxGains(gains, nullptr, nullptr));
+  }
+  kernels::ForceVariant(std::nullopt);
+  state.SetLabel(std::string(kernels::VariantName(ran)));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ArgmaxKernel)->ArgsProduct({{4096, 65536, 262144}, {0, 1}});
+
 void BM_GreedySelect(benchmark::State& state) {
   const DiversificationInstance& instance = SharedInstance();
-  GreedyOptions options;
-  options.mode = state.range(0) == 0 ? GreedyMode::kPlainScan
-                                     : GreedyMode::kLazyHeap;
-  GreedySelector selector(options);
+  GreedySelector selector;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        selector.Select(instance, static_cast<std::size_t>(state.range(1))));
+        selector.Select(instance, static_cast<std::size_t>(state.range(0))));
   }
 }
-BENCHMARK(BM_GreedySelect)
-    ->ArgsProduct({{0, 1}, {8, 32}})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GreedySelect)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
 // Telemetry overhead on the greedy hot path: arg 0 runs with telemetry
 // disabled (the library default — one relaxed atomic load per
@@ -254,9 +280,7 @@ BENCHMARK(BM_GreedySelect)
 // The disabled row must stay within noise of BM_GreedySelect.
 void BM_GreedySelectTelemetry(benchmark::State& state) {
   const DiversificationInstance& instance = SharedInstance();
-  GreedyOptions options;
-  options.mode = GreedyMode::kLazyHeap;
-  GreedySelector selector(options);
+  GreedySelector selector;
   telemetry::SetEnabled(state.range(0) == 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(selector.Select(instance, 8));

@@ -110,13 +110,6 @@ std::vector<std::uint8_t> TiersForPriority(
   return tiers;
 }
 
-Result<Selection> RunGreedy(const DiversificationInstance& instance,
-                            std::size_t budget, GreedyMode mode) {
-  GreedyOptions options;
-  options.mode = mode;
-  return GreedySelector(options).Select(instance, budget);
-}
-
 /// One round's fixed instance parameters, drawn up front so the same
 /// choices replay at every thread count.
 struct RoundPlan {
@@ -160,6 +153,8 @@ void CheckServePath(RoundLog& log, const datagen::Dataset& dataset,
   uncached_options.cache_entries = 0;
   serve::SelectionService uncached(snapshot.value(), uncached_options);
 
+  // Both wire selector names: "greedy-heap" is an alias of "greedy" and
+  // must serve the same users (its body differs only in the echoed name).
   for (const GreedyMode mode :
        {GreedyMode::kPlainScan, GreedyMode::kLazyHeap}) {
     serve::SelectionRequest request;
@@ -366,7 +361,7 @@ void CheckShardedSelection(RoundLog& log, const std::string& what,
 }
 
 /// Sweeps the sharded engine over `options.shard_counts` × both partition
-/// strategies × `options.shard_thread_counts` × both greedy modes, then
+/// strategies × `options.shard_thread_counts`, then
 /// (for K>1) drives the sharded serve path and compares its responses to
 /// the direct selector.
 void CheckShardedPath(RoundLog& log, const datagen::Dataset& dataset,
@@ -391,8 +386,8 @@ void CheckShardedPath(RoundLog& log, const datagen::Dataset& dataset,
           "sharded K=%zu/%s", num_shards,
           std::string(shard::PartitionStrategyName(strategy)).c_str());
       // Partitioning, shard builds, and both selection rounds are all
-      // deterministic in the input alone, so every (threads, mode) cell
-      // must reproduce one reference selection byte for byte.
+      // deterministic in the input alone, so every thread count must
+      // reproduce one reference selection byte for byte.
       std::optional<Selection> reference;
       for (const std::size_t threads : options.shard_thread_counts) {
         util::ThreadPool::SetGlobalThreadCount(threads);
@@ -416,29 +411,25 @@ void CheckShardedPath(RoundLog& log, const datagen::Dataset& dataset,
               tag.c_str(), sharded.group_count(),
               instance.groups().group_count()));
         }
-        for (const GreedyMode mode :
-             {GreedyMode::kPlainScan, GreedyMode::kLazyHeap}) {
-          Result<shard::ShardedSelection> sel =
-              shard::ShardedSelector(mode).Select(sharded, plan.budget);
-          const std::string what = util::StringPrintf(
-              "%s %s @%zu threads", tag.c_str(),
-              std::string(serve::SelectorName(mode)).c_str(), threads);
-          if (!sel.ok()) {
-            log.Diverge(what + " failed: " + sel.status().message());
-            continue;
-          }
-          CheckShardedSelection(log, what, sharded, sel.value(), plan,
-                                instance, oracle, bound);
-          if (!reference.has_value()) {
-            reference = sel->merged;
-          } else if (!SameSelection(*reference, sel->merged)) {
-            log.Diverge(util::StringPrintf(
-                "%s selected %s score %.17g; the first cell of this sweep "
-                "selected %s score %.17g",
-                what.c_str(), UsersToString(sel->merged.users).c_str(),
-                sel->merged.score, UsersToString(reference->users).c_str(),
-                reference->score));
-          }
+        Result<shard::ShardedSelection> sel =
+            shard::ShardedSelector().Select(sharded, plan.budget);
+        const std::string what =
+            util::StringPrintf("%s @%zu threads", tag.c_str(), threads);
+        if (!sel.ok()) {
+          log.Diverge(what + " failed: " + sel.status().message());
+          continue;
+        }
+        CheckShardedSelection(log, what, sharded, sel.value(), plan,
+                              instance, oracle, bound);
+        if (!reference.has_value()) {
+          reference = sel->merged;
+        } else if (!SameSelection(*reference, sel->merged)) {
+          log.Diverge(util::StringPrintf(
+              "%s selected %s score %.17g; the first cell of this sweep "
+              "selected %s score %.17g",
+              what.c_str(), UsersToString(sel->merged.users).c_str(),
+              sel->merged.score, UsersToString(reference->users).c_str(),
+              reference->score));
         }
       }
 
@@ -532,18 +523,13 @@ void RunRound(RoundLog& log, const DiffOptions& options, int round) {
 
   Result<Selection> oracle = OracleGreedy(instance.value(), plan.budget);
   Result<Selection> plain =
-      RunGreedy(instance.value(), plan.budget, GreedyMode::kPlainScan);
-  Result<Selection> heap =
-      RunGreedy(instance.value(), plan.budget, GreedyMode::kLazyHeap);
-  if (!oracle.ok() || !plain.ok() || !heap.ok()) {
+      GreedySelector().Select(instance.value(), plan.budget);
+  if (!oracle.ok() || !plain.ok()) {
     log.Diverge("selector failed: " +
-                (!oracle.ok() ? oracle.status()
-                              : !plain.ok() ? plain.status() : heap.status())
-                    .message());
+                (!oracle.ok() ? oracle.status() : plain.status()).message());
     return;
   }
-  CompareWithOracle(log, "plain-scan greedy", oracle.value(), plain.value());
-  CompareWithOracle(log, "lazy-heap greedy", oracle.value(), heap.value());
+  CompareWithOracle(log, "greedy", oracle.value(), plain.value());
 
   for (const std::string& violation :
        CheckGreedyRun(instance.value(), plain.value(), plan.budget)
@@ -559,8 +545,8 @@ void RunRound(RoundLog& log, const DiffOptions& options, int round) {
   }
 
   // Customized path: a random priority group and (sometimes) a must_not
-  // filter; plain vs heap must agree, and both must match the oracle run
-  // over the refined pool under the derived tiers.
+  // filter; the tiered greedy over the refined pool must match the oracle
+  // run over that pool under the derived tiers.
   CustomizationFeedback feedback;
   const std::size_t num_groups = instance->groups().group_count();
   Result<CustomSelection> custom =
@@ -572,19 +558,7 @@ void RunRound(RoundLog& log, const DiffOptions& options, int round) {
       feedback.must_not.push_back(
           static_cast<GroupId>(rng.NextBounded(num_groups)));
     }
-    custom = SelectCustomized(instance.value(), feedback, plan.budget,
-                              GreedyMode::kPlainScan);
-    Result<CustomSelection> custom_heap = SelectCustomized(
-        instance.value(), feedback, plan.budget, GreedyMode::kLazyHeap);
-    if (custom.ok() != custom_heap.ok()) {
-      log.Diverge("customized plain vs heap disagree on status");
-    } else if (custom.ok() &&
-               !SameSelection(custom->selection, custom_heap->selection)) {
-      log.Diverge(util::StringPrintf(
-          "customized heap selected %s, plain %s",
-          UsersToString(custom_heap->selection.users).c_str(),
-          UsersToString(custom->selection.users).c_str()));
-    }
+    custom = SelectCustomized(instance.value(), feedback, plan.budget);
     if (custom.ok()) {
       Result<std::vector<UserId>> refined =
           RefineUsers(instance.value(), feedback);
@@ -632,11 +606,12 @@ void RunRound(RoundLog& log, const DiffOptions& options, int round) {
                                        threads, vname.c_str()) +
                     adjacency.message());
       }
+      // The rebuilt instance computes its Line-2 gains under this
+      // variant and thread count; the customized rerun takes the tiered
+      // path, which accumulates its own gains and argmaxes over gain1 too.
       Result<Selection> plain_t =
-          RunGreedy(rebuilt.value(), plan.budget, GreedyMode::kPlainScan);
-      Result<Selection> heap_t =
-          RunGreedy(rebuilt.value(), plan.budget, GreedyMode::kLazyHeap);
-      if (!plain_t.ok() || !heap_t.ok()) {
+          GreedySelector().Select(rebuilt.value(), plan.budget);
+      if (!plain_t.ok()) {
         log.Diverge(util::StringPrintf(
             "selector failed at %zu threads (%s kernels)", threads,
             vname.c_str()));
@@ -644,13 +619,22 @@ void RunRound(RoundLog& log, const DiffOptions& options, int round) {
       }
       if (!SameSelection(plain_t.value(), oracle.value())) {
         log.Diverge(util::StringPrintf(
-            "plain-scan at %zu threads (%s kernels) selected %s", threads,
+            "greedy at %zu threads (%s kernels) selected %s", threads,
             vname.c_str(), UsersToString(plain_t->users).c_str()));
       }
-      if (!SameSelection(heap_t.value(), oracle.value())) {
-        log.Diverge(util::StringPrintf(
-            "lazy heap at %zu threads (%s kernels) selected %s", threads,
-            vname.c_str(), UsersToString(heap_t->users).c_str()));
+      if (custom.ok()) {
+        Result<CustomSelection> custom_t =
+            SelectCustomized(rebuilt.value(), feedback, plan.budget);
+        if (!custom_t.ok() ||
+            !SameSelection(custom_t->selection, custom->selection)) {
+          log.Diverge(util::StringPrintf(
+              "customized greedy at %zu threads (%s kernels) selected %s, "
+              "first run %s",
+              threads, vname.c_str(),
+              custom_t.ok() ? UsersToString(custom_t->selection.users).c_str()
+                            : custom_t.status().message().c_str(),
+              UsersToString(custom->selection.users).c_str()));
+        }
       }
     }
   }

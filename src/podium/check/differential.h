@@ -30,8 +30,8 @@ struct DiffOptions {
   bool with_serve = true;
 
   /// For each K here, build a sharded snapshot over the round's dataset
-  /// (both partition strategies, at `shard_thread_counts` pool sizes, both
-  /// greedy modes) and run the two-round distributed selection. K=1 must
+  /// (both partition strategies, at `shard_thread_counts` pool sizes) and
+  /// run the two-round distributed selection. K=1 must
   /// be byte-identical to the single-snapshot oracle; K>1 must score the
   /// merged set exactly (vs OracleScore) and satisfy the proven
   /// (1−1/e)²/min(K,B) bound against the oracle. Empty disables.
@@ -53,8 +53,9 @@ struct DiffReport {
 
 /// Runs `options.rounds` differential rounds. Each round generates a
 /// small seeded instance via podium::datagen, then asserts that the naïve
-/// Algorithm-1 oracle, the plain-scan greedy, the lazy-heap greedy, every
-/// configured thread count, and (optionally) the serve path all produce
+/// Algorithm-1 oracle, the greedy (base and customized), every configured
+/// thread count and kernel variant, and (optionally) the serve path under
+/// both wire selector names all produce
 /// byte-identical selections — plus the greedy invariants of
 /// invariants.h, and the (1 − 1/e) bound against the exhaustive optimum
 /// on instances small enough to enumerate.

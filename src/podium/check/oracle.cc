@@ -22,6 +22,23 @@ std::uint32_t DirectIntersection(const DiversificationInstance& instance,
   return count;
 }
 
+/// OracleTierScore under explicit per-group weights (empty = the
+/// instance's own).
+double WeightedTierScore(const DiversificationInstance& instance,
+                         std::span<const UserId> subset,
+                         const std::vector<std::uint8_t>& tiers,
+                         std::uint8_t tier,
+                         const std::vector<double>& weights) {
+  double score = 0.0;
+  for (GroupId g = 0; g < instance.groups().group_count(); ++g) {
+    if ((tiers.empty() ? 0 : tiers[g]) != tier) continue;
+    const std::uint32_t count = DirectIntersection(instance, g, subset);
+    score += (weights.empty() ? instance.weight(g) : weights[g]) *
+             std::min(count, instance.coverage(g));
+  }
+  return score;
+}
+
 }  // namespace
 
 double OracleScore(const DiversificationInstance& instance,
@@ -39,14 +56,7 @@ double OracleTierScore(const DiversificationInstance& instance,
                        std::span<const UserId> subset,
                        const std::vector<std::uint8_t>& tiers,
                        std::uint8_t tier) {
-  double score = 0.0;
-  for (GroupId g = 0; g < instance.groups().group_count(); ++g) {
-    if ((tiers.empty() ? 0 : tiers[g]) != tier) continue;
-    const std::uint32_t count = DirectIntersection(instance, g, subset);
-    score += instance.weight(g) *
-             std::min(count, instance.coverage(g));
-  }
-  return score;
+  return WeightedTierScore(instance, subset, tiers, tier, {});
 }
 
 NestedGroups BuildNestedGroups(const DiversificationInstance& instance) {
@@ -96,9 +106,13 @@ Status CheckAdjacency(const DiversificationInstance& instance) {
 
 Result<Selection> OracleGreedy(const DiversificationInstance& instance,
                                std::size_t budget, std::vector<UserId> pool,
-                               std::vector<std::uint8_t> tiers) {
+                               std::vector<std::uint8_t> tiers,
+                               const std::vector<double>& weights) {
   const std::size_t num_users = instance.repository().user_count();
   if (budget == 0) return Status::InvalidArgument("budget must be positive");
+  if (!weights.empty() && weights.size() != instance.groups().group_count()) {
+    return Status::InvalidArgument("weights must have one entry per group");
+  }
   if (pool.empty()) {
     pool.resize(num_users);
     for (UserId u = 0; u < num_users; ++u) pool[u] = u;
@@ -115,8 +129,10 @@ Result<Selection> OracleGreedy(const DiversificationInstance& instance,
 
   Selection selection;
   for (std::size_t round = 0; round < budget; ++round) {
-    const double base0 = OracleTierScore(instance, selection.users, tiers, 0);
-    const double base1 = OracleTierScore(instance, selection.users, tiers, 1);
+    const double base0 =
+        WeightedTierScore(instance, selection.users, tiers, 0, weights);
+    const double base1 =
+        WeightedTierScore(instance, selection.users, tiers, 1, weights);
     UserId chosen = kInvalidUser;
     double best0 = 0.0;
     double best1 = 0.0;
@@ -125,9 +141,9 @@ Result<Selection> OracleGreedy(const DiversificationInstance& instance,
       std::vector<UserId> with_u(selection.users);
       with_u.push_back(u);
       const double gain0 =
-          OracleTierScore(instance, with_u, tiers, 0) - base0;
+          WeightedTierScore(instance, with_u, tiers, 0, weights) - base0;
       const double gain1 =
-          OracleTierScore(instance, with_u, tiers, 1) - base1;
+          WeightedTierScore(instance, with_u, tiers, 1, weights) - base1;
       // Larger (gain0, gain1) lexicographically wins; ties keep the
       // earlier (smaller-id) candidate.
       if (chosen == kInvalidUser || gain0 > best0 ||

@@ -13,7 +13,7 @@ namespace podium::check {
 
 /// Reference oracles for differential testing: deliberately dumb, direct
 /// transcriptions of the paper's definitions with none of the optimized
-/// paths' data structures (no maintained marginals, no lazy heap, no CSR,
+/// paths' data structures (no maintained marginals, no cached gains, no CSR,
 /// no threads). Each is small enough to audit by eye; the optimized code
 /// is correct exactly when it agrees with these byte for byte.
 ///
@@ -53,11 +53,17 @@ Status CheckAdjacency(const DiversificationInstance& instance);
 /// ascending user id — the optimized selectors' default tie-break.
 /// `pool` empty means the full population; `tiers` empty means all groups
 /// in tier 0 (tier 0 gains dominate tier 1 lexicographically; tier >= 2
-/// is ignored, matching GreedyOptions::group_tiers).
+/// is ignored, matching GreedyOptions::group_tiers). `weights` empty means
+/// the instance's own; otherwise the greedy preferences use these per-group
+/// weights (GreedyOptions::weight_noise's perturbed ones) while the
+/// returned score stays under the instance's. Perturbed weights are not
+/// integers, so that comparison is exact only while no two candidates'
+/// gains lie within rounding of each other.
 Result<Selection> OracleGreedy(const DiversificationInstance& instance,
                                std::size_t budget,
                                std::vector<UserId> pool = {},
-                               std::vector<std::uint8_t> tiers = {});
+                               std::vector<std::uint8_t> tiers = {},
+                               const std::vector<double>& weights = {});
 
 }  // namespace podium::check
 

@@ -1,9 +1,7 @@
 #include "podium/core/greedy.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <queue>
 #include <utility>
 
 #include "podium/core/kernels.h"
@@ -12,7 +10,6 @@
 #include "podium/telemetry/telemetry.h"
 #include "podium/telemetry/trace.h"
 #include "podium/util/arena.h"
-#include "podium/util/bitset.h"
 #include "podium/util/rng.h"
 #include "podium/util/thread_pool.h"
 
@@ -27,14 +24,15 @@ namespace {
 struct GreedyRunStats {
   bool enabled = false;
   std::vector<telemetry::GreedyRoundEvent> events;
-  std::uint64_t heap_pops = 0;
-  std::uint64_t stale_reinserts = 0;
   std::uint64_t retired_links = 0;
   std::uint64_t retired_groups = 0;
 
-  explicit GreedyRunStats(std::size_t budget)
+  /// `rounds` is the run's round count, min(B, |pool|): the client picks B,
+  /// so sizing the buffer by B alone would let one request reserve
+  /// arbitrary memory.
+  explicit GreedyRunStats(std::size_t rounds)
       : enabled(telemetry::Enabled()) {
-    if (enabled) events.reserve(budget);
+    if (enabled) events.reserve(rounds);
   }
 
   void Flush() {
@@ -45,8 +43,6 @@ struct GreedyRunStats {
     auto& registry = telemetry::MetricsRegistry::Global();
     registry.counter("greedy.runs").Add();
     registry.counter("greedy.rounds").Add(events.size());
-    registry.counter("greedy.heap_pops").Add(heap_pops);
-    registry.counter("greedy.stale_reinserts").Add(stale_reinserts);
     registry.counter("greedy.retired_links").Add(retired_links);
     registry.counter("greedy.retired_groups").Add(retired_groups);
   }
@@ -59,27 +55,25 @@ constexpr std::uint8_t kIgnoredTier = 2;
 /// Grain for loops chunked over the candidate pool during initialization.
 constexpr std::size_t kPoolGrain = 512;
 
-/// True when every weight is a non-negative integral double and the grand
-/// total stays below 2^52: integer-valued double sums under 2^53 are exact
-/// in every association order, so the SIMD accumulator's reassociated sum
-/// is bit-identical to the scalar left fold. Iden (all 1.0) and LBS
-/// (group sizes) always qualify; weight-noise runs never do.
-bool ExactUnderReassociation(const std::vector<double>& weights) {
-  constexpr double kLimit = 4503599627370496.0;  // 2^52
-  double total = 0.0;
-  for (double w : weights) {
-    if (!(w >= 0.0) || w != std::floor(w)) return false;
-    total += w;
+/// The candidate pool of one run: every user (`ids` empty) or the
+/// deduplicated restriction 𝒰' of Def. 6.3.
+struct CandidatePool {
+  std::vector<UserId> ids;
+  std::size_t num_users = 0;
+
+  bool full() const { return ids.empty(); }
+  std::size_t size() const { return full() ? num_users : ids.size(); }
+  UserId at(std::size_t i) const {
+    return full() ? static_cast<UserId>(i) : ids[i];
   }
-  return total < kLimit;
-}
+};
 
 // Per-run greedy state as structure-of-arrays in one 64-byte-aligned
 // arena block: parallel gain arrays per tier (gain0/gain1 instead of a
-// vector of per-user pairs), per-group remaining counts and dead flags,
-// byte in-pool flags for the gather kernels, a word-walkable alive bitset
-// for the argmax scan, and the weights pre-split by tier (w0/w1 carry
-// 0.0 for groups of any other tier, which accumulates as an exact no-op).
+// vector of per-user pairs; gain1 only when some group is in tier 1),
+// per-group remaining counts and dead flags, byte in-pool flags for the
+// retirement kernel, and the weights pre-split by tier (w0/w1 carry 0.0
+// for groups of any other tier, which accumulates as an exact no-op).
 // The arena's guard bytes license the AVX2 flag gathers past the last
 // user id.
 struct SoaState {
@@ -89,171 +83,128 @@ struct SoaState {
   std::span<std::uint32_t> remaining;     // per group: cov(G) minus selected
   std::span<std::uint8_t> group_dead;     // remaining hit zero
   std::span<std::uint8_t> in_pool;        // per user, byte flag for kernels
-  util::FixedBitset alive;                // same set, word-walkable
   std::span<double> w0;                   // per group: weight if tier 0
   std::span<double> w1;                   // per group: weight if tier 1
 
-  SoaState(std::size_t num_users, std::size_t num_groups)
-      : arena(util::Arena::BytesFor<double>(num_users) * 2 +
+  SoaState(std::size_t num_users, std::size_t num_groups, bool has_tier1)
+      : arena(util::Arena::BytesFor<double>(num_users) * (has_tier1 ? 2 : 1) +
               util::Arena::BytesFor<std::uint32_t>(num_groups) +
               util::Arena::BytesFor<std::uint8_t>(num_groups) +
               util::Arena::BytesFor<std::uint8_t>(num_users) +
-              util::Arena::BytesFor<std::uint64_t>(
-                  util::FixedBitset::WordsFor(num_users)) +
               util::Arena::BytesFor<double>(num_groups) * 2) {
     gain0 = arena.AllocateSpan<double>(num_users);
-    gain1 = arena.AllocateSpan<double>(num_users);
+    if (has_tier1) gain1 = arena.AllocateSpan<double>(num_users);
     remaining = arena.AllocateSpan<std::uint32_t>(num_groups);
     group_dead = arena.AllocateSpan<std::uint8_t>(num_groups);
     in_pool = arena.AllocateSpan<std::uint8_t>(num_users);
-    alive = util::FixedBitset(
-        arena.AllocateSpan<std::uint64_t>(util::FixedBitset::WordsFor(num_users)),
-        num_users);
     w0 = arena.AllocateSpan<double>(num_groups);
     w1 = arena.AllocateSpan<double>(num_groups);
   }
 };
 
-Selection RunScalarGreedy(const DiversificationInstance& instance,
-                          std::size_t budget,
-                          const std::vector<UserId>& pool,
-                          const std::vector<std::uint8_t>& tiers,
-                          const std::vector<std::uint32_t>& tie_rank,
-                          const std::vector<double>& weights,
-                          GreedyMode mode) {
+/// Line 2 of Algorithm 1 for one run: marg_{u,∅} per pool user, -inf for
+/// everyone else. A base run (every group in tier 0, unperturbed weights)
+/// copies the instance's once-computed gains; any other run accumulates
+/// them per tier over the pre-split weight arrays (groups of other tiers
+/// contribute an exact +0.0).
+void InitGains(const DiversificationInstance& instance,
+               const CandidatePool& pool,
+               const std::vector<std::uint8_t>& tiers,
+               const std::vector<double>& weights, bool base_run,
+               SoaState& state) {
+  if (base_run) {
+    const std::vector<double>& line_two = instance.LineTwoGains();
+    if (pool.full()) {
+      std::copy(line_two.begin(), line_two.end(), state.gain0.begin());
+    } else {
+      std::fill(state.gain0.begin(), state.gain0.end(), kernels::kDeadGain);
+      for (UserId u : pool.ids) state.gain0[u] = line_two[u];
+    }
+    return;
+  }
+  // Arena spans start at +0.0, the accumulation's starting value; only
+  // users outside a restricted pool need the sentinel.
+  if (!pool.full()) {
+    std::fill(state.gain0.begin(), state.gain0.end(), kernels::kDeadGain);
+    for (UserId u : pool.ids) state.gain0[u] = 0.0;
+  }
+  for (GroupId g = 0; g < tiers.size(); ++g) {
+    state.w0[g] = tiers[g] == 0 ? weights[g] : 0.0;
+    state.w1[g] = tiers[g] == 1 ? weights[g] : 0.0;
+  }
   const GroupIndex& groups = instance.groups();
-  const std::size_t num_users = instance.repository().user_count();
-  const std::size_t num_groups = groups.group_count();
-
-  // Phase accounting: "greedy.init" covers the marginal-gain/heap setup,
-  // "greedy.rounds" the selection loop, "greedy.score" the final scoring.
-  std::optional<telemetry::PhaseSpan> phase;
-  phase.emplace("greedy.init");
-  SoaState state(num_users, num_groups);
-  std::copy(instance.coverage().begin(), instance.coverage().end(),
-            state.remaining.begin());
-  for (UserId u : pool) {
-    state.in_pool[u] = 1;
-    state.alive.Set(u);
-  }
-  bool has_tier1 = false;
-  for (GroupId g = 0; g < num_groups; ++g) {
-    const std::uint8_t tier = tiers[g];
-    state.w0[g] = tier == 0 ? weights[g] : 0.0;
-    state.w1[g] = tier == 1 ? weights[g] : 0.0;
-    has_tier1 |= tier == 1;
-  }
-  const bool exact_reassoc = ExactUnderReassociation(weights);
-  const double* w1_or_null = has_tier1 ? state.w1.data() : nullptr;
-
-  // Line 2 of Algorithm 1: marg_{u,∅} = Σ_{G ∋ u} wei(G), accumulated per
-  // tier by the kernel over the pre-split weight arrays (groups of other
-  // tiers contribute an exact +0.0). Pool users are distinct (Select()
-  // dedupes), so chunks write disjoint gain slots.
+  const bool exact_reassoc = kernels::ExactUnderReassociation(weights);
+  const double* w1_or_null = state.gain1.empty() ? nullptr : state.w1.data();
+  double* gain1 = state.gain1.empty() ? nullptr : state.gain1.data();
+  // Pool users are distinct (Select() dedupes), so chunks write disjoint
+  // gain slots.
   util::ParallelFor(
       "greedy.init_gains", pool.size(),
       [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t i = begin; i < end; ++i) {
-          const UserId u = pool[i];
-          kernels::AccumulateTieredGains(groups.groups_of(u), state.w0.data(),
-                                         w1_or_null, exact_reassoc,
-                                         &state.gain0[u], &state.gain1[u]);
+          const UserId u = pool.at(i);
+          kernels::AccumulateTieredGains(
+              groups.groups_of(u), state.w0.data(), w1_or_null, exact_reassoc,
+              &state.gain0[u], gain1 == nullptr ? nullptr : &gain1[u]);
         }
       },
       kPoolGrain);
+}
 
-  // Prefer larger gains (tier 0, then tier 1); among equal gains, smaller
-  // tie rank.
-  auto better = [&](UserId a, UserId b) {
-    if (state.gain0[a] != state.gain0[b]) return state.gain0[a] > state.gain0[b];
-    if (state.gain1[a] != state.gain1[b]) return state.gain1[a] > state.gain1[b];
-    return tie_rank[a] < tie_rank[b];
-  };
+Selection RunScalarGreedy(const DiversificationInstance& instance,
+                          std::size_t budget, const CandidatePool& pool,
+                          const std::vector<std::uint8_t>& tiers,
+                          const std::vector<std::uint32_t>& tie_rank,
+                          const std::vector<double>& weights,
+                          bool perturbed) {
+  const GroupIndex& groups = instance.groups();
+  const std::size_t num_users = instance.repository().user_count();
+  const std::size_t num_groups = groups.group_count();
 
-  // Lazy heap entries carry the gain they were pushed with; stale entries
-  // are re-pushed on pop. Valid because gains only decrease (submodularity).
-  struct HeapEntry {
-    double gain0;
-    double gain1;
-    std::uint32_t tie;
-    UserId user;
-    bool operator<(const HeapEntry& other) const {  // max-heap
-      if (gain0 != other.gain0) return gain0 < other.gain0;
-      if (gain1 != other.gain1) return gain1 < other.gain1;
-      return tie > other.tie;
-    }
-  };
-  // The initial heap is built from a pre-sized entry vector and heapified
-  // in one O(n) pass instead of n pushes; pop order is unchanged because
-  // (gain, tie_rank) is a strict total order over distinct pool users.
-  std::priority_queue<HeapEntry> heap;
-  if (mode == GreedyMode::kLazyHeap) {
-    std::vector<HeapEntry> entries(pool.size());
-    util::ParallelFor(
-        "greedy.init_heap", pool.size(),
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const UserId u = pool[i];
-            entries[i] =
-                HeapEntry{state.gain0[u], state.gain1[u], tie_rank[u], u};
-          }
-        },
-        kPoolGrain);
-    heap = std::priority_queue<HeapEntry>(std::less<HeapEntry>(),
-                                          std::move(entries));
+  // Phase accounting: "greedy.init" covers the marginal-gain setup,
+  // "greedy.rounds" the selection loop, "greedy.score" the final scoring.
+  std::optional<telemetry::PhaseSpan> phase;
+  phase.emplace("greedy.init");
+  bool has_tier1 = false;
+  bool all_tier0 = true;
+  for (const std::uint8_t tier : tiers) {
+    has_tier1 |= tier == 1;
+    all_tier0 &= tier == 0;
   }
+  SoaState state(num_users, num_groups, has_tier1);
+  std::copy(instance.coverage().begin(), instance.coverage().end(),
+            state.remaining.begin());
+  if (pool.full()) {
+    std::fill(state.in_pool.begin(), state.in_pool.end(), 1);
+  } else {
+    for (UserId u : pool.ids) state.in_pool[u] = 1;
+  }
+  InitGains(instance, pool, tiers, weights, all_tier0 && !perturbed, state);
 
   phase.emplace("greedy.rounds");
-  GreedyRunStats stats(budget);
+  const std::size_t rounds = std::min(budget, pool.size());
+  const double* gain1_or_null = has_tier1 ? state.gain1.data() : nullptr;
+  const std::uint32_t* rank_or_null =
+      tie_rank.empty() ? nullptr : tie_rank.data();
+  GreedyRunStats stats(rounds);
   Selection selection;
-  std::size_t pool_left = pool.size();
-  for (std::size_t round = 0; round < budget && pool_left > 0; ++round) {
-    // Line 5: maxUser = argmax marg. The bitset walk visits users in
-    // ascending id order rather than pool order; the argmax is the same
-    // because (gain0, gain1, tie_rank) is a strict total order over
-    // distinct pool users — no two compare equal, so the winner does not
-    // depend on iteration order.
-    UserId chosen = kInvalidUser;
-    std::uint32_t round_pops = 0;
-    std::uint32_t round_stale = 0;
-    if (mode == GreedyMode::kPlainScan) {
-      state.alive.ForEachSet([&](std::size_t i) {
-        const UserId u = static_cast<UserId>(i);
-        if (chosen == kInvalidUser || better(u, chosen)) chosen = u;
-      });
-    } else {
-      while (!heap.empty()) {
-        HeapEntry top = heap.top();
-        heap.pop();
-        ++round_pops;
-        if (!state.in_pool[top.user]) continue;
-        // Start the candidate's adjacency span on its way to cache while
-        // the staleness compare resolves.
-        const auto adjacent = groups.groups_of(top.user);
-        kernels::PrefetchRange(adjacent.data(),
-                               adjacent.size() * sizeof(GroupId));
-        if (top.gain0 != state.gain0[top.user] ||
-            top.gain1 != state.gain1[top.user]) {
-          top.gain0 = state.gain0[top.user];
-          top.gain1 = state.gain1[top.user];
-          heap.push(top);
-          ++round_stale;
-          continue;
-        }
-        chosen = top.user;
-        break;
-      }
-      if (chosen == kInvalidUser) break;  // heap exhausted
-    }
+  selection.users.reserve(rounds);
+  for (std::size_t round = 0; round < rounds; ++round) {
+    // Line 5: maxUser = argmax marg, by (gain0, gain1, tie_rank) — a
+    // strict total order over distinct pool users. Every user outside the
+    // remaining pool holds gain0 == -inf and cannot win.
+    const std::size_t best =
+        kernels::ArgmaxGains(state.gain0, gain1_or_null, rank_or_null);
+    if (best == num_users) break;  // unreachable: rounds <= |pool|
+    const auto chosen = static_cast<UserId>(best);
 
     // Lines 6-10: move the user, decrement coverage, retire dead groups
     // and charge their weight back from other members' marginal gains.
     const double chosen_gain0 = state.gain0[chosen];
-    const double chosen_gain1 = state.gain1[chosen];
+    const double chosen_gain1 = has_tier1 ? state.gain1[chosen] : 0.0;
     selection.users.push_back(chosen);
     state.in_pool[chosen] = 0;
-    state.alive.Clear(chosen);
-    --pool_left;
+    state.gain0[chosen] = kernels::kDeadGain;
     const auto adjacent = groups.groups_of(chosen);
     kernels::PrefetchRange(adjacent.data(), adjacent.size() * sizeof(GroupId));
     std::uint32_t round_retired_links = 0;
@@ -274,13 +225,9 @@ Selection RunScalarGreedy(const DiversificationInstance& instance,
       event.user = chosen;
       event.gain = chosen_gain0;
       event.gain_secondary = chosen_gain1;
-      event.heap_pops = round_pops;
-      event.stale_reinserts = round_stale;
       event.retired_links = round_retired_links;
       event.retired_groups = round_retired_groups;
       stats.events.push_back(event);
-      stats.heap_pops += round_pops;
-      stats.stale_reinserts += round_stale;
       stats.retired_links += round_retired_links;
       stats.retired_groups += round_retired_groups;
     }
@@ -344,7 +291,7 @@ Selection RunEbsGreedy(const DiversificationInstance& instance,
       kPoolGrain);
 
   phase.emplace("greedy.rounds");
-  GreedyRunStats stats(budget);
+  GreedyRunStats stats(std::min(budget, pool.size()));
   Selection selection;
   std::size_t pool_left = pool.size();
   for (std::size_t round = 0; round < budget && pool_left > 0; ++round) {
@@ -422,30 +369,30 @@ Result<Selection> GreedySelector::Select(
   // Duplicate entries are dropped (first occurrence wins): a repeated user
   // would otherwise accumulate its Line-2 gain twice, and the parallel
   // init relies on pool users being distinct.
-  std::vector<UserId> pool = options_.candidate_pool;
-  if (pool.empty()) {
-    pool.resize(num_users);
-    for (UserId u = 0; u < num_users; ++u) pool[u] = u;
-  } else {
+  CandidatePool pool;
+  pool.num_users = num_users;
+  if (!options_.candidate_pool.empty()) {
     std::vector<std::uint8_t> seen(num_users, 0);
-    std::size_t kept = 0;
-    for (UserId u : pool) {
+    pool.ids.reserve(options_.candidate_pool.size());
+    for (UserId u : options_.candidate_pool) {
       if (u >= num_users) {
         return Status::OutOfRange("candidate pool user id out of range");
       }
       if (seen[u]) continue;
       seen[u] = 1;
-      pool[kept++] = u;
+      pool.ids.push_back(u);
     }
-    pool.resize(kept);
   }
 
   // Tie-break ranks: position in tie_break_order, else a seeded random
-  // permutation (the prototype's behaviour), else ascending id.
-  std::vector<std::uint32_t> tie_rank(num_users);
+  // permutation (the prototype's behaviour), else ascending id — which
+  // the scalar path represents as no ranks at all (the argmax kernel
+  // breaks ties by index).
+  std::vector<std::uint32_t> tie_rank;
   if (options_.tie_break_order.empty()) {
-    for (UserId u = 0; u < num_users; ++u) tie_rank[u] = u;
     if (options_.random_tie_seed.has_value()) {
+      tie_rank.resize(num_users);
+      for (UserId u = 0; u < num_users; ++u) tie_rank[u] = u;
       util::Rng tie_rng(*options_.random_tie_seed);
       tie_rng.Shuffle(tie_rank);
     }
@@ -454,6 +401,7 @@ Result<Selection> GreedySelector::Select(
       return Status::InvalidArgument(
           "tie_break_order must be a permutation of all users");
     }
+    tie_rank.resize(num_users);
     for (std::uint32_t pos = 0; pos < num_users; ++pos) {
       const UserId u = options_.tie_break_order[pos];
       if (u >= num_users) {
@@ -468,8 +416,17 @@ Result<Selection> GreedySelector::Select(
       return Status::Unimplemented(
           "customized selection is not supported with EBS weights");
     }
+    std::vector<UserId> ebs_pool = std::move(pool.ids);
+    if (ebs_pool.empty()) {
+      ebs_pool.resize(num_users);
+      for (UserId u = 0; u < num_users; ++u) ebs_pool[u] = u;
+    }
+    if (tie_rank.empty()) {
+      tie_rank.resize(num_users);
+      for (UserId u = 0; u < num_users; ++u) tie_rank[u] = u;
+    }
     setup_span.reset();
-    return RunEbsGreedy(instance, budget, pool, tie_rank);
+    return RunEbsGreedy(instance, budget, ebs_pool, tie_rank);
   }
 
   std::vector<std::uint8_t> tiers = options_.group_tiers;
@@ -479,7 +436,8 @@ Result<Selection> GreedySelector::Select(
   // multiplicatively; the reported selection score stays under the true
   // weights (TotalScore), only the greedy's preferences are perturbed.
   std::vector<double> weights(instance.weights().scalars());
-  if (options_.weight_noise > 0.0) {
+  const bool perturbed = options_.weight_noise > 0.0;
+  if (perturbed) {
     if (options_.weight_noise >= 1.0) {
       return Status::InvalidArgument("weight_noise must be in [0, 1)");
     }
@@ -490,7 +448,7 @@ Result<Selection> GreedySelector::Select(
   }
   setup_span.reset();
   return RunScalarGreedy(instance, budget, pool, tiers, tie_rank, weights,
-                         options_.mode);
+                         perturbed);
 }
 
 }  // namespace podium

@@ -9,19 +9,18 @@
 
 namespace podium {
 
-/// Implementation strategy for the argmax step of Algorithm 1.
+/// The selector name a request asked for. Both values run the same
+/// Algorithm 1 — one vectorized argmax scan per round — and select the
+/// same users byte for byte. Two values remain because clients name the
+/// selector on the wire ("greedy" / "greedy-heap"), where it is echoed
+/// back and keys the result cache.
 enum class GreedyMode {
-  /// Linear scan over the candidate pool each round — the paper's
-  /// formulation, O(B · |𝒰|) scan cost on top of the update cost.
   kPlainScan,
-  /// Max-heap with lazy re-insertion of stale entries. Marginal gains are
-  /// maintained exactly by the coverage updates, so popped entries whose
-  /// cached key is outdated are re-pushed with the current value; by
-  /// submodularity gains only decrease, keeping the heap admissible.
   kLazyHeap,
 };
 
 struct GreedyOptions {
+  /// Selector name only; does not change the selection (see GreedyMode).
   GreedyMode mode = GreedyMode::kPlainScan;
 
   /// Candidate pool restriction (the refined user set 𝒰' of Def. 6.3).

@@ -1,5 +1,8 @@
 #include "podium/core/instance.h"
 
+#include "podium/core/kernels.h"
+#include "podium/util/thread_pool.h"
+
 namespace podium {
 
 Result<DiversificationInstance> DiversificationInstance::Build(
@@ -56,6 +59,29 @@ Result<DiversificationInstance> DiversificationInstance::FromGroupsWithScoring(
   instance.groups_ = std::move(groups);
   instance.budget_ = budget;
   return instance;
+}
+
+const std::vector<double>& DiversificationInstance::LineTwoGains() const {
+  LineTwoCache& cache = *line_two_;
+  std::call_once(cache.once, [&] {
+    // Every group in tier 0 under the unperturbed weights: the tier-0
+    // weight array is the scalars themselves and there is no tier 1.
+    const std::vector<double>& weights = weights_.scalars();
+    const bool exact = kernels::ExactUnderReassociation(weights);
+    std::vector<double> gains(groups_.user_count(), 0.0);
+    util::ParallelFor(
+        "instance.line_two_gains", gains.size(),
+        [&](std::size_t begin, std::size_t end, std::size_t) {
+          for (std::size_t u = begin; u < end; ++u) {
+            kernels::AccumulateTieredGains(
+                groups_.groups_of(static_cast<UserId>(u)), weights.data(),
+                nullptr, exact, &gains[u], nullptr);
+          }
+        },
+        /*grain=*/512);
+    cache.gains = std::move(gains);
+  });
+  return cache.gains;
 }
 
 }  // namespace podium

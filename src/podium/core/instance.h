@@ -2,6 +2,8 @@
 #define PODIUM_CORE_INSTANCE_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "podium/groups/coverage.h"
@@ -66,7 +68,21 @@ class DiversificationInstance {
   /// wei(G) as a scalar (approximate for EBS; see GroupWeighting).
   double weight(GroupId g) const { return weights_.scalar(g); }
 
+  /// Line 2 of Algorithm 1 for the whole population under the unperturbed
+  /// scalar weights, every group in tier 0: marg_{u,∅} = Σ_{G ∋ u} wei(G),
+  /// indexed by user id. Computed once, on first call, with the kernel and
+  /// reassociation rule the greedy's own accumulation uses, so a run that
+  /// copies these gains is byte-identical to one that sums them. Copies of
+  /// the instance share one result. Thread-safe.
+  const std::vector<double>& LineTwoGains() const;
+
  private:
+  /// Once-per-instance Line-2 gains, shared by every copy of the instance
+  /// (they all hold the same groups and weights).
+  struct LineTwoCache {
+    std::once_flag once;
+    std::vector<double> gains;
+  };
 
   const ProfileRepository* repository_ = nullptr;
   GroupIndex groups_;
@@ -74,6 +90,7 @@ class DiversificationInstance {
   CoverageKind coverage_kind_ = CoverageKind::kSingle;
   std::vector<std::uint32_t> coverage_;
   std::size_t budget_ = 0;
+  std::shared_ptr<LineTwoCache> line_two_ = std::make_shared<LineTwoCache>();
 };
 
 }  // namespace podium

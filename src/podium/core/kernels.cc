@@ -1,8 +1,10 @@
 #include "podium/core/kernels.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -35,7 +37,7 @@ std::uint32_t RetireSpanScalar(const std::uint32_t* ids, std::size_t n,
     const std::uint32_t id = ids[i];
     const std::uint8_t flag = flags[id];
     // flag == 0 subtracts 0.0: bit-identical to not touching the gain
-    // (gains are finite and non-negative here).
+    // (gains are non-negative here, or -inf for dead users).
     gains[id] -= weight * static_cast<double>(flag);
     retired += flag;
   }
@@ -61,6 +63,44 @@ void AccumulateScalar(const std::uint32_t* ids, std::size_t n,
     *gain1 += sum1;
   }
   *gain0 += sum0;
+}
+
+/// True when entry i beats entry `best` under ArgmaxGains' order; `best`
+/// == n means no live entry has been seen yet. The reference every
+/// variant reproduces.
+bool Beats(std::size_t i, std::size_t best, std::size_t n, const double* gain0,
+           const double* gain1, const std::uint32_t* tie_rank) {
+  if (gain0[i] == kDeadGain) return false;
+  if (best == n) return true;
+  if (gain0[i] != gain0[best]) return gain0[i] > gain0[best];
+  if (gain1 != nullptr && gain1[i] != gain1[best]) {
+    return gain1[i] > gain1[best];
+  }
+  if (tie_rank != nullptr && tie_rank[i] != tie_rank[best]) {
+    return tie_rank[i] < tie_rank[best];
+  }
+  return i < best;
+}
+
+std::size_t ArgmaxScalar(const double* gain0, std::size_t n,
+                         const double* gain1, const std::uint32_t* tie_rank) {
+  std::size_t best = n;
+  if (gain1 == nullptr && tie_rank == nullptr) {
+    // First strictly greater wins: ties keep the smaller index, and a
+    // dead entry (-inf) never exceeds the -inf starting value.
+    double best0 = kDeadGain;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (gain0[i] > best0) {
+        best0 = gain0[i];
+        best = i;
+      }
+    }
+    return best;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (Beats(i, best, n, gain0, gain1, tie_rank)) best = i;
+  }
+  return best;
 }
 
 // ---------------------------------------------------------------------------
@@ -122,6 +162,134 @@ __attribute__((target("avx2"))) void AccumulateAvx2(
   }
   *gain0 += sum0;
   if (tier1_weights != nullptr) *gain1 += sum1;
+}
+
+/// Folds the per-lane winners (index n = none) and the scalar tail
+/// [tail, n) into the overall winner under the reference order.
+std::size_t FinishArgmax(const std::int64_t* lanes, std::size_t count,
+                         std::size_t tail, std::size_t n, const double* gain0,
+                         const double* gain1, const std::uint32_t* tie_rank) {
+  std::size_t best = n;
+  for (std::size_t l = 0; l < count; ++l) {
+    const auto i = static_cast<std::size_t>(lanes[l]);
+    if (i != n && Beats(i, best, n, gain0, gain1, tie_rank)) best = i;
+  }
+  for (std::size_t i = tail; i < n; ++i) {
+    if (Beats(i, best, n, gain0, gain1, tie_rank)) best = i;
+  }
+  return best;
+}
+
+/// Base runs (no tier-1 key, ascending-id ties): each of 8 lanes keeps the
+/// first strictly greater gain0 it sees and that entry's index, so a lane
+/// holds the smallest index of its maximum; the fold breaks cross-lane
+/// ties by index.
+__attribute__((target("avx2"))) std::size_t ArgmaxGain0Avx2(
+    const double* gain0, std::size_t n) {
+  __m256d best_a = _mm256_set1_pd(kDeadGain);
+  __m256d best_b = best_a;
+  __m256i index_a = _mm256_set1_epi64x(static_cast<std::int64_t>(n));
+  __m256i index_b = index_a;
+  __m256i ids_a = _mm256_setr_epi64x(0, 1, 2, 3);
+  __m256i ids_b = _mm256_setr_epi64x(4, 5, 6, 7);
+  const __m256i step = _mm256_set1_epi64x(8);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d a = _mm256_loadu_pd(gain0 + i);
+    const __m256d b = _mm256_loadu_pd(gain0 + i + 4);
+    const __m256d win_a = _mm256_cmp_pd(a, best_a, _CMP_GT_OQ);
+    const __m256d win_b = _mm256_cmp_pd(b, best_b, _CMP_GT_OQ);
+    best_a = _mm256_blendv_pd(best_a, a, win_a);
+    best_b = _mm256_blendv_pd(best_b, b, win_b);
+    index_a = _mm256_castpd_si256(_mm256_blendv_pd(
+        _mm256_castsi256_pd(index_a), _mm256_castsi256_pd(ids_a), win_a));
+    index_b = _mm256_castpd_si256(_mm256_blendv_pd(
+        _mm256_castsi256_pd(index_b), _mm256_castsi256_pd(ids_b), win_b));
+    ids_a = _mm256_add_epi64(ids_a, step);
+    ids_b = _mm256_add_epi64(ids_b, step);
+  }
+  alignas(32) std::int64_t lanes[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), index_a);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4), index_b);
+  // Clear the upper register halves before the SSE fold and the SSE
+  // retirement loop that follows each round. GCC 12 at -O2 emits no
+  // vzeroupper ahead of this tail call, and the dirty state then made
+  // every greedy round 2-4x slower (BM_GreedySelect, selbench shard).
+  _mm256_zeroupper();
+  return FinishArgmax(lanes, 8, i, n, gain0, nullptr, nullptr);
+}
+
+/// Four lanes of the general order's running winners: each lane keeps its
+/// best (gain0, gain1, rank) triple and that entry's index.
+struct LexLanes {
+  __m256d best0;
+  __m256d best1;
+  __m256i best_rank;
+  __m256i index;
+};
+
+/// A lane starts at (-inf, +inf, max): a dead entry ties on -inf but
+/// cannot beat +inf on gain1, so dead entries never win.
+__attribute__((target("avx2"))) LexLanes StartLexLanes(std::size_t n) {
+  return LexLanes{
+      _mm256_set1_pd(kDeadGain),
+      _mm256_set1_pd(std::numeric_limits<double>::infinity()),
+      _mm256_set1_epi64x(std::numeric_limits<std::int64_t>::max()),
+      _mm256_set1_epi64x(static_cast<std::int64_t>(n))};
+}
+
+/// Folds 4 entries into `lanes`. A null key reads as zeros (gain1) or the
+/// index (rank), which only grows within a lane and so never displaces an
+/// equal earlier entry.
+__attribute__((target("avx2"), always_inline)) inline void StepLexLanes(
+    LexLanes& lanes, const double* gain0, const double* gain1,
+    const std::uint32_t* tie_rank, std::size_t i, __m256i ids) {
+  const __m256d g0 = _mm256_loadu_pd(gain0 + i);
+  const __m256d g1 =
+      gain1 != nullptr ? _mm256_loadu_pd(gain1 + i) : _mm256_setzero_pd();
+  const __m256i rank =
+      tie_rank != nullptr
+          ? _mm256_cvtepu32_epi64(_mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(tie_rank + i)))
+          : ids;
+  const __m256d rank_wins =
+      _mm256_castsi256_pd(_mm256_cmpgt_epi64(lanes.best_rank, rank));
+  const __m256d gain1_wins = _mm256_or_pd(
+      _mm256_cmp_pd(g1, lanes.best1, _CMP_GT_OQ),
+      _mm256_and_pd(_mm256_cmp_pd(g1, lanes.best1, _CMP_EQ_OQ), rank_wins));
+  const __m256d win = _mm256_or_pd(
+      _mm256_cmp_pd(g0, lanes.best0, _CMP_GT_OQ),
+      _mm256_and_pd(_mm256_cmp_pd(g0, lanes.best0, _CMP_EQ_OQ), gain1_wins));
+  lanes.best0 = _mm256_blendv_pd(lanes.best0, g0, win);
+  lanes.best1 = _mm256_blendv_pd(lanes.best1, g1, win);
+  lanes.best_rank = _mm256_castpd_si256(_mm256_blendv_pd(
+      _mm256_castsi256_pd(lanes.best_rank), _mm256_castsi256_pd(rank), win));
+  lanes.index = _mm256_castpd_si256(_mm256_blendv_pd(
+      _mm256_castsi256_pd(lanes.index), _mm256_castsi256_pd(ids), win));
+}
+
+/// General order over two independent lane sets (8 entries per step), so
+/// the loop-carried compare/blend chain of one set overlaps the other's.
+__attribute__((target("avx2"))) std::size_t ArgmaxLexAvx2(
+    const double* gain0, std::size_t n, const double* gain1,
+    const std::uint32_t* tie_rank) {
+  LexLanes lanes_a = StartLexLanes(n);
+  LexLanes lanes_b = StartLexLanes(n);
+  __m256i ids_a = _mm256_setr_epi64x(0, 1, 2, 3);
+  __m256i ids_b = _mm256_setr_epi64x(4, 5, 6, 7);
+  const __m256i step = _mm256_set1_epi64x(8);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    StepLexLanes(lanes_a, gain0, gain1, tie_rank, i, ids_a);
+    StepLexLanes(lanes_b, gain0, gain1, tie_rank, i + 4, ids_b);
+    ids_a = _mm256_add_epi64(ids_a, step);
+    ids_b = _mm256_add_epi64(ids_b, step);
+  }
+  alignas(32) std::int64_t lanes[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), lanes_a.index);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes + 4), lanes_b.index);
+  _mm256_zeroupper();  // see ArgmaxGain0Avx2
+  return FinishArgmax(lanes, 8, i, n, gain0, gain1, tie_rank);
 }
 
 #endif  // PODIUM_KERNELS_X86
@@ -205,6 +373,16 @@ std::uint32_t RetireSpan(std::span<const std::uint32_t> ids,
   return RetireSpanScalar(ids.data(), ids.size(), flags, gains, weight);
 }
 
+bool ExactUnderReassociation(std::span<const double> weights) {
+  constexpr double kLimit = 4503599627370496.0;  // 2^52
+  double total = 0.0;
+  for (double w : weights) {
+    if (!(w >= 0.0) || w != std::floor(w)) return false;
+    total += w;
+  }
+  return total < kLimit;
+}
+
 void AccumulateTieredGains(std::span<const std::uint32_t> ids,
                            const double* tier0_weights,
                            const double* tier1_weights,
@@ -221,6 +399,19 @@ void AccumulateTieredGains(std::span<const std::uint32_t> ids,
 #endif
   AccumulateScalar(ids.data(), ids.size(), tier0_weights, tier1_weights,
                    gain0, gain1);
+}
+
+std::size_t ArgmaxGains(std::span<const double> gain0, const double* gain1,
+                        const std::uint32_t* tie_rank) {
+#if PODIUM_KERNELS_X86
+  if (ActiveVariant() == Variant::kAvx2) {
+    if (gain1 == nullptr && tie_rank == nullptr) {
+      return ArgmaxGain0Avx2(gain0.data(), gain0.size());
+    }
+    return ArgmaxLexAvx2(gain0.data(), gain0.size(), gain1, tie_rank);
+  }
+#endif
+  return ArgmaxScalar(gain0.data(), gain0.size(), gain1, tie_rank);
 }
 
 }  // namespace podium::kernels

@@ -23,7 +23,8 @@ namespace podium::serve {
 /// JSON shape (every field optional; absent fields take snapshot/server
 /// defaults):
 ///
-///   {"budget": 8, "selector": "greedy" | "greedy-heap",
+///   {"budget": 8, "selector": "greedy" | "greedy-heap" (an alias: same
+///    selection, echoed name differs),
 ///    "weights": "Iden" | "LBS" | "EBS", "coverage": "Single" | "Prop",
 ///    "must_have": ["livesIn Tokyo"], "must_not": [], "priority": [],
 ///    "explain": true, "deadline_ms": 2000}

@@ -1,6 +1,7 @@
 #include "podium/shard/sharded_selector.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -47,8 +48,14 @@ Result<ShardedSelection> ShardedSelector::Select(
   // which carries the GLOBAL weights/coverage — for a candidate pool of
   // max(pool_factor·B, B) users. Pool ⊇ the shard's budget-B greedy
   // selection because greedy prefixes are selection-consistent.
+  // The product saturates: B comes from the client, and a wrapped
+  // pool_factor·B would silently shrink the pools.
+  const std::size_t pool_factor = snapshot.options().pool_factor;
   const std::size_t pool_budget =
-      std::max(snapshot.options().pool_factor * budget, budget);
+      pool_factor > 1 &&
+              budget > std::numeric_limits<std::size_t>::max() / pool_factor
+          ? std::numeric_limits<std::size_t>::max()
+          : std::max(pool_factor * budget, budget);
   obs::TraceContext* trace = obs::CurrentTrace();
   const double fanout_start =
       trace == nullptr ? 0.0 : trace->ElapsedSeconds();

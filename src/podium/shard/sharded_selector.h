@@ -30,7 +30,7 @@ struct ShardedSelection {
 };
 
 /// Two-round distributed greedy (the GreeDi shape; DESIGN.md §13):
-/// round 1 runs the lazy-heap greedy independently per shard — against
+/// round 1 runs the greedy independently per shard — against
 /// the GLOBAL weights/coverage baked into each shard's instance — for a
 /// candidate pool of max(pool_factor·B, B) users; round 2 unions the
 /// pools and runs one exact greedy over the union. Guarantees
@@ -38,7 +38,9 @@ struct ShardedSelection {
 /// single-snapshot greedy byte for byte.
 class ShardedSelector {
  public:
-  explicit ShardedSelector(GreedyMode mode = GreedyMode::kLazyHeap)
+  /// `mode` is the request's selector name, passed through to round 1;
+  /// every mode selects the same users (see GreedyMode).
+  explicit ShardedSelector(GreedyMode mode = GreedyMode::kPlainScan)
       : mode_(mode) {}
 
   [[nodiscard]] Result<ShardedSelection> Select(

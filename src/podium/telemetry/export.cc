@@ -48,9 +48,6 @@ json::Value TraceEventToJson(const GreedyRoundEvent& event) {
   object.Set("user", json::Value(static_cast<double>(event.user)));
   object.Set("gain", json::Value(event.gain));
   object.Set("gain_secondary", json::Value(event.gain_secondary));
-  object.Set("heap_pops", json::Value(static_cast<double>(event.heap_pops)));
-  object.Set("stale_reinserts",
-             json::Value(static_cast<double>(event.stale_reinserts)));
   object.Set("retired_links",
              json::Value(static_cast<double>(event.retired_links)));
   object.Set("retired_groups",

@@ -12,13 +12,13 @@ namespace podium::telemetry {
 /// (removed/renamed key, changed meaning); purely additive changes keep
 /// the version. The schema is documented in DESIGN.md §"Telemetry &
 /// profiling".
-inline constexpr int kTelemetrySchemaVersion = 1;
+inline constexpr int kTelemetrySchemaVersion = 2;
 
 /// Serializes the current telemetry state — counters, gauges, histograms,
 /// the phase tree, and the greedy trace — as one JSON document:
 ///
 /// {
-///   "schema": {"name": "podium.telemetry", "version": 1},
+///   "schema": {"name": "podium.telemetry", "version": 2},
 ///   "counters": {"greedy.rounds": 8, ...},
 ///   "gauges": {"groups.count": 23, ...},
 ///   "histograms": {"<name>": {"bounds": [...], "counts": [...],
@@ -26,8 +26,7 @@ inline constexpr int kTelemetrySchemaVersion = 1;
 ///   "phases": {"name": "process", "seconds": S, "count": N,
 ///              "children": [...]},
 ///   "greedy_trace": [{"run": 0, "round": 0, "user": 3, "gain": 12.5,
-///                     "gain_secondary": 0, "heap_pops": 1,
-///                     "stale_reinserts": 0, "retired_links": 4,
+///                     "gain_secondary": 0, "retired_links": 4,
 ///                     "retired_groups": 2}, ...]
 /// }
 json::Value TelemetryToJson();

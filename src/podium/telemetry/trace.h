@@ -25,11 +25,6 @@ struct GreedyRoundEvent {
   double gain = 0.0;
   /// Tier-1 ("standard") gain of the customized score; 0 for base runs.
   double gain_secondary = 0.0;
-  /// GreedyMode::kLazyHeap only: heap entries popped to find the argmax.
-  std::uint32_t heap_pops = 0;
-  /// GreedyMode::kLazyHeap only: popped entries whose cached gain was stale
-  /// and were re-pushed with the maintained value.
-  std::uint32_t stale_reinserts = 0;
   /// user↔group links retired because this choice killed their group
   /// (remaining coverage hit zero).
   std::uint32_t retired_links = 0;

@@ -148,9 +148,8 @@ TEST(HarnessTest, ExportedTelemetryJsonMatchesGoldenSchema) {
   const json::Object& event =
       root.Find("greedy_trace")->AsArray()[0].AsObject();
   const std::vector<std::string> golden_event_keys = {
-      "run",       "round",           "user",
-      "gain",      "gain_secondary",  "heap_pops",
-      "stale_reinserts", "retired_links", "retired_groups"};
+      "run",  "round",          "user",          "gain",
+      "gain_secondary", "retired_links", "retired_groups"};
   ASSERT_EQ(event.size(), golden_event_keys.size());
   for (std::size_t i = 0; i < golden_event_keys.size(); ++i) {
     EXPECT_EQ(event.entries()[i].first, golden_event_keys[i]);

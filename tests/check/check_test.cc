@@ -48,9 +48,7 @@ DiversificationInstance BuildInstance(const ProfileRepository& repo,
 }
 
 Selection RunOptimized(const DiversificationInstance& instance,
-                       std::size_t budget, GreedyMode mode) {
-  GreedyOptions options;
-  options.mode = mode;
+                       std::size_t budget, GreedyOptions options = {}) {
   Result<Selection> selection = GreedySelector(options).Select(instance, budget);
   EXPECT_TRUE(selection.ok()) << selection.status();
   return std::move(selection).value();
@@ -79,6 +77,10 @@ TEST(OracleTest, OracleScoreMatchesSingletonWeightSums) {
   }
 }
 
+// The greedy's two Line-2 paths: a base run copies the instance's cached
+// gains; a run with every group in tier 1 accumulates its own and ranks by
+// gain1 (gain0 is 0 for everyone), which orders users exactly as the base
+// objective does. Both must reproduce the oracle.
 TEST(OracleTest, GreedyAgreesWithBothOptimizedModesOnRandomInstances) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     util::Rng rng(seed);
@@ -91,11 +93,12 @@ TEST(OracleTest, GreedyAgreesWithBothOptimizedModesOnRandomInstances) {
             BuildInstance(repo, weight, cov, budget);
         const Result<Selection> oracle = OracleGreedy(instance, budget);
         ASSERT_TRUE(oracle.ok()) << oracle.status();
-        for (const GreedyMode mode :
-             {GreedyMode::kPlainScan, GreedyMode::kLazyHeap}) {
-          const Selection optimized = RunOptimized(instance, budget, mode);
+        GreedyOptions tier1;
+        tier1.group_tiers.assign(instance.groups().group_count(), 1);
+        for (const GreedyOptions& options : {GreedyOptions{}, tier1}) {
+          const Selection optimized = RunOptimized(instance, budget, options);
           EXPECT_EQ(optimized.users, oracle->users)
-              << "seed " << seed << " mode " << static_cast<int>(mode);
+              << "seed " << seed << " tiered " << !options.group_tiers.empty();
           EXPECT_EQ(optimized.score, oracle->score);
         }
       }
@@ -121,7 +124,7 @@ TEST(InvariantsTest, GreedyOutputPassesAndCorruptionIsFlagged) {
   const DiversificationInstance instance =
       BuildInstance(repo, WeightKind::kLbs, CoverageKind::kProp, 4);
   const Selection selection =
-      RunOptimized(instance, 4, GreedyMode::kLazyHeap);
+      RunOptimized(instance, 4);
 
   EXPECT_TRUE(CheckGreedyRun(instance, selection, 4).ok());
 
@@ -153,7 +156,7 @@ TEST(InvariantsTest, ApproximationRatioHoldsOnTinyInstances) {
     const DiversificationInstance instance =
         BuildInstance(repo, WeightKind::kIden, CoverageKind::kSingle, 3);
     const Selection selection =
-        RunOptimized(instance, 3, GreedyMode::kLazyHeap);
+        RunOptimized(instance, 3);
     const InvariantReport report =
         CheckApproximationRatio(instance, selection, 3);
     EXPECT_TRUE(report.ok())

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "podium/check/oracle.h"
 #include "podium/core/exhaustive.h"
 #include "podium/core/score.h"
 #include "podium/util/rng.h"
@@ -140,7 +143,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ApproximationTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
 
 // ---------------------------------------------------------------------------
-// Plain-scan and lazy-heap modes are exactly equivalent.
+// "greedy-heap" is a selector-name alias: both modes run the one argmax
+// scan and must select identically.
 // ---------------------------------------------------------------------------
 
 class GreedyModeTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -166,6 +170,127 @@ TEST_P(GreedyModeTest, LazyHeapMatchesPlainScan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GreedyModeTest,
                          ::testing::Values(7, 8, 9, 10));
+
+// ---------------------------------------------------------------------------
+// Runs that accumulate their own Line-2 gains (weight noise, tiers, a
+// restricted pool) still reproduce the oracle, and base runs share one
+// once-computed gain array per instance.
+// ---------------------------------------------------------------------------
+
+class GreedyOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GreedyOracleTest, WeightNoiseRunMatchesOracleOverPerturbedWeights) {
+  util::Rng rng(GetParam());
+  const ProfileRepository repo = RandomRepository(40, 8, 0.4, rng);
+  for (WeightKind weight : {WeightKind::kIden, WeightKind::kLbs}) {
+    const DiversificationInstance instance =
+        RandomInstance(repo, weight, CoverageKind::kProp, 6);
+    GreedyOptions options;
+    options.weight_noise = 0.3;
+    options.weight_noise_seed = GetParam() * 7 + 1;
+    // The perturbation GreedySelector documents, recomputed here.
+    std::vector<double> perturbed = instance.weights().scalars();
+    util::Rng noise(options.weight_noise_seed);
+    for (double& w : perturbed) {
+      w *= 1.0 + options.weight_noise * noise.NextDouble(-1.0, 1.0);
+    }
+    Result<Selection> greedy = GreedySelector(options).Select(instance, 6);
+    Result<Selection> oracle =
+        check::OracleGreedy(instance, 6, {}, {}, perturbed);
+    ASSERT_TRUE(greedy.ok()) << greedy.status();
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+    EXPECT_EQ(greedy->users, oracle->users) << WeightKindName(weight);
+    // The reported score stays under the true weights.
+    EXPECT_EQ(greedy->score, oracle->score);
+  }
+}
+
+TEST_P(GreedyOracleTest, TieredPooledRunMatchesOracle) {
+  util::Rng rng(GetParam());
+  const ProfileRepository repo = RandomRepository(50, 8, 0.4, rng);
+  const DiversificationInstance instance =
+      RandomInstance(repo, WeightKind::kLbs, CoverageKind::kSingle, 7);
+  const std::size_t num_groups = instance.groups().group_count();
+  std::vector<std::uint8_t> tiers(num_groups);
+  for (std::uint8_t& tier : tiers) {
+    tier = static_cast<std::uint8_t>(rng.NextBounded(3));  // 2 = ignored
+  }
+  std::vector<UserId> pool;
+  for (UserId u = 0; u < repo.user_count(); ++u) {
+    if (rng.NextBernoulli(0.6)) pool.push_back(u);
+  }
+  ASSERT_FALSE(pool.empty());
+  // Untiered over the pool (cached gains, -inf outside it), then tiered.
+  for (const bool tiered : {false, true}) {
+    GreedyOptions options;
+    options.candidate_pool = pool;
+    if (tiered) options.group_tiers = tiers;
+    Result<Selection> greedy = GreedySelector(options).Select(instance, 7);
+    Result<Selection> oracle = check::OracleGreedy(
+        instance, 7, pool, tiered ? tiers : std::vector<std::uint8_t>{});
+    ASSERT_TRUE(greedy.ok()) << greedy.status();
+    ASSERT_TRUE(oracle.ok()) << oracle.status();
+    EXPECT_EQ(greedy->users, oracle->users) << "tiered=" << tiered;
+    EXPECT_EQ(greedy->score, oracle->score) << "tiered=" << tiered;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GreedyOracleTest,
+                         ::testing::Values(41, 42, 43, 44));
+
+TEST(LineTwoGainsTest, CopiesShareOneComputation) {
+  util::Rng rng(5);
+  const ProfileRepository repo = RandomRepository(30, 6, 0.5, rng);
+  const DiversificationInstance instance =
+      RandomInstance(repo, WeightKind::kLbs, CoverageKind::kSingle, 4);
+  const DiversificationInstance copy = instance;  // the copy under test
+  const std::vector<double>& gains = copy.LineTwoGains();
+  // One array, whichever copy asked first.
+  EXPECT_EQ(&instance.LineTwoGains(), &gains);
+  // A separately built instance computes its own.
+  const DiversificationInstance rebuilt =
+      RandomInstance(repo, WeightKind::kLbs, CoverageKind::kSingle, 4);
+  EXPECT_NE(&rebuilt.LineTwoGains(), &gains);
+  // marg_{u,∅} = Σ_{G ∋ u} wei(G); LBS weights are integers, so exact.
+  ASSERT_EQ(gains.size(), repo.user_count());
+  for (UserId u = 0; u < repo.user_count(); ++u) {
+    double expected = 0.0;
+    for (GroupId g : instance.groups().groups_of(u)) {
+      expected += instance.weight(g);
+    }
+    EXPECT_EQ(gains[u], expected) << "user " << u;
+  }
+  EXPECT_EQ(rebuilt.LineTwoGains(), gains);
+}
+
+TEST(LineTwoGainsTest, ConcurrentFirstRunsShareOneComputation) {
+  util::Rng rng(9);
+  const ProfileRepository repo = RandomRepository(200, 10, 0.4, rng);
+  const DiversificationInstance instance =
+      RandomInstance(repo, WeightKind::kLbs, CoverageKind::kSingle, 8);
+  const Selection expected = [&] {
+    const DiversificationInstance fresh =
+        RandomInstance(repo, WeightKind::kLbs, CoverageKind::kSingle, 8);
+    return GreedySelector().Select(fresh, 8).value();
+  }();
+  // Several copies race to be the first run on the shared cache.
+  constexpr int kThreads = 4;
+  std::vector<Selection> selections(kThreads);
+  std::vector<const std::vector<double>*> gains(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const DiversificationInstance copy = instance;
+      selections[t] = GreedySelector().Select(copy, 8).value();
+      gains[t] = &copy.LineTwoGains();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(selections[t].users, expected.users) << "thread " << t;
+    EXPECT_EQ(gains[t], &instance.LineTwoGains()) << "thread " << t;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // EBS correctness: the tiered comparison must match explicit long-double

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "podium/util/rng.h"
@@ -154,6 +156,137 @@ TEST(AccumulateTieredGainsTest, NullTier1SkipsSecondAccumulation) {
     AccumulateTieredGains(fx.ids, fx.w0.data(), nullptr, true, &g0, &g1);
     EXPECT_EQ(g0, expected0);
     EXPECT_EQ(g1, 7.5);  // untouched: no tier-1 accumulation ran
+  }
+}
+
+/// ArgmaxGains' documented order, written out directly: the live entry
+/// with the largest (gain0, gain1), then the smallest rank, then the
+/// smallest index; size() when nothing is live.
+std::size_t NaiveArgmax(const std::vector<double>& gain0,
+                        const std::vector<double>* gain1,
+                        const std::vector<std::uint32_t>* tie_rank) {
+  const double dead = -std::numeric_limits<double>::infinity();
+  std::size_t best = gain0.size();
+  for (std::size_t i = 0; i < gain0.size(); ++i) {
+    if (gain0[i] == dead) continue;
+    if (best == gain0.size()) {
+      best = i;
+      continue;
+    }
+    const double a1 = gain1 == nullptr ? 0.0 : (*gain1)[i];
+    const double b1 = gain1 == nullptr ? 0.0 : (*gain1)[best];
+    const std::uint32_t ra = tie_rank == nullptr ? 0 : (*tie_rank)[i];
+    const std::uint32_t rb = tie_rank == nullptr ? 0 : (*tie_rank)[best];
+    if (gain0[i] > gain0[best] ||
+        (gain0[i] == gain0[best] &&
+         (a1 > b1 || (a1 == b1 && ra < rb)))) {
+      best = i;
+    }
+  }
+  return best;
+}
+
+/// One ArgmaxGains input: gains drawn from `distinct` values (few values =
+/// heavy ties), each entry dead with probability `dead_share`.
+struct ArgmaxInput {
+  std::vector<double> gain0;
+  std::vector<double> gain1;
+  std::vector<std::uint32_t> tie_rank;
+
+  ArgmaxInput(std::size_t n, std::uint64_t distinct, double dead_share,
+              std::uint64_t seed) {
+    util::Rng rng(seed);
+    for (std::size_t i = 0; i < n; ++i) {
+      gain0.push_back(rng.NextBernoulli(dead_share)
+                          ? -std::numeric_limits<double>::infinity()
+                          : static_cast<double>(rng.NextBounded(distinct)));
+      gain1.push_back(static_cast<double>(rng.NextBounded(distinct)));
+      tie_rank.push_back(static_cast<std::uint32_t>(i));
+    }
+    rng.Shuffle(tie_rank);
+  }
+};
+
+/// Runs every key combination under both variants against NaiveArgmax.
+void ExpectArgmaxAgrees(const ArgmaxInput& in, const std::string& what) {
+  for (const bool with_gain1 : {false, true}) {
+    for (const bool with_rank : {false, true}) {
+      const std::size_t expected =
+          NaiveArgmax(in.gain0, with_gain1 ? &in.gain1 : nullptr,
+                      with_rank ? &in.tie_rank : nullptr);
+      for (Variant variant : {Variant::kScalar, Variant::kAvx2}) {
+        ForceVariant(variant);
+        EXPECT_EQ(ArgmaxGains(in.gain0, with_gain1 ? in.gain1.data() : nullptr,
+                              with_rank ? in.tie_rank.data() : nullptr),
+                  expected)
+            << what << " gain1=" << with_gain1 << " rank=" << with_rank
+            << " variant=" << VariantName(variant);
+      }
+    }
+  }
+}
+
+TEST(ArgmaxGainsTest, VariantsAgreeAcrossLengthsTiesAndSentinels) {
+  VariantGuard guard;
+  // Lengths cover the empty array, sub-vector tails and several full
+  // vector blocks; 3 distinct values make ties the rule, not the
+  // exception.
+  for (std::size_t n = 0; n <= 67; ++n) {
+    for (const double dead_share : {0.0, 0.5, 1.0}) {
+      for (const std::uint64_t distinct : {1u, 3u, 1000u}) {
+        const ArgmaxInput in(n, distinct, dead_share, 1000 * n + distinct);
+        ExpectArgmaxAgrees(in, "n=" + std::to_string(n) +
+                                   " dead=" + std::to_string(dead_share) +
+                                   " distinct=" + std::to_string(distinct));
+      }
+    }
+  }
+}
+
+TEST(ArgmaxGainsTest, AllDeadOrEmptyReturnsSize) {
+  VariantGuard guard;
+  const std::vector<double> empty;
+  const std::vector<double> dead(13, -std::numeric_limits<double>::infinity());
+  const std::vector<double> gain1(13, 5.0);
+  for (Variant variant : {Variant::kScalar, Variant::kAvx2}) {
+    ForceVariant(variant);
+    EXPECT_EQ(ArgmaxGains(empty, nullptr, nullptr), 0u);
+    EXPECT_EQ(ArgmaxGains(dead, nullptr, nullptr), dead.size());
+    // A live-looking gain1 does not revive a dead gain0.
+    EXPECT_EQ(ArgmaxGains(dead, gain1.data(), nullptr), dead.size());
+  }
+}
+
+TEST(ArgmaxGainsTest, SingleLiveUserWinsAtEveryPosition) {
+  VariantGuard guard;
+  const double kDead = -std::numeric_limits<double>::infinity();
+  for (std::size_t n : {1u, 4u, 8u, 9u, 33u}) {
+    for (std::size_t live = 0; live < n; ++live) {
+      std::vector<double> gain0(n, kDead);
+      gain0[live] = 0.0;  // a zero gain still beats every dead entry
+      std::vector<double> gain1(n, 1.0);
+      std::vector<std::uint32_t> rank(n, 0);
+      for (Variant variant : {Variant::kScalar, Variant::kAvx2}) {
+        ForceVariant(variant);
+        EXPECT_EQ(ArgmaxGains(gain0, nullptr, nullptr), live);
+        EXPECT_EQ(ArgmaxGains(gain0, gain1.data(), rank.data()), live);
+      }
+    }
+  }
+}
+
+TEST(ArgmaxGainsTest, KeysBreakTiesInOrder) {
+  VariantGuard guard;
+  //              index:  0    1    2    3    4    5    6    7    8
+  const std::vector<double> gain0 = {1, 7, 7, 7, 7, 2, 7, 0, 7};
+  const std::vector<double> gain1 = {9, 1, 3, 3, 2, 9, 3, 9, 3};
+  const std::vector<std::uint32_t> rank = {0, 1, 8, 6, 2, 3, 5, 4, 7};
+  for (Variant variant : {Variant::kScalar, Variant::kAvx2}) {
+    ForceVariant(variant);
+    EXPECT_EQ(ArgmaxGains(gain0, nullptr, nullptr), 1u);  // first 7
+    EXPECT_EQ(ArgmaxGains(gain0, gain1.data(), nullptr), 2u);  // first 7/3
+    EXPECT_EQ(ArgmaxGains(gain0, gain1.data(), rank.data()), 6u);  // rank 5
+    EXPECT_EQ(ArgmaxGains(gain0, nullptr, rank.data()), 1u);  // rank 1
   }
 }
 

@@ -144,6 +144,60 @@ TEST_F(HttpServerTest, SelectMissThenByteIdenticalCachedHit) {
   EXPECT_NE(second.FindHeader("X-Podium-Queue-Ms"), nullptr);
 }
 
+/// Sends a budget far beyond the population (and far beyond what could
+/// ever be allocated per round) to `port`, expects every user back
+/// exactly once, then checks the server still answers.
+void ExpectHugeBudgetServesEveryone(int port, std::size_t users) {
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
+  HttpRequest huge;
+  huge.method = "POST";
+  huge.target = "/v1/select";
+  huge.body = R"({"budget":10000000000})";
+  Result<HttpResponse> response = client.RoundTrip(huge);
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_EQ(response->status, 200) << response->body;
+  Result<json::Value> body = json::Parse(response->body);
+  ASSERT_TRUE(body.ok()) << body.status();
+  std::vector<double> ids;
+  for (const json::Value& user : body->AsObject().Find("users")->AsArray()) {
+    ids.push_back(user.AsObject().Find("id")->AsNumber());
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids.size(), users);  // min(B, |U|)
+  EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
+
+  HttpRequest small = huge;
+  small.body = R"({"budget":2})";
+  Result<HttpResponse> after = client.RoundTrip(small);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->status, 200) << after->body;
+}
+
+TEST_F(HttpServerTest, HugeBudgetIsServedAndServerKeepsServing) {
+  ASSERT_TRUE(telemetry::Enabled());  // the per-round trace buffer is live
+  ExpectHugeBudgetServesEveryone(server_->port(), 5);
+}
+
+TEST_F(HttpServerTest, HugeBudgetIsServedWithTwoShards) {
+  SnapshotOptions snapshot_options;
+  snapshot_options.instance.budget = 3;
+  snapshot_options.shard.num_shards = 2;
+  Result<std::shared_ptr<const Snapshot>> snapshot = Snapshot::Build(
+      podium::testing::MakeTable2Repository(), snapshot_options,
+      /*generation=*/2);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  ASSERT_TRUE(snapshot.value()->is_sharded());
+  SelectionService sharded(std::move(snapshot).value(), ServiceOptions{});
+  HttpServerOptions http_options;
+  http_options.port = 0;
+  http_options.worker_threads = 2;
+  HttpServer server(http_options, MakeServiceHandler(sharded));
+  ASSERT_TRUE(server.Start().ok());
+  ExpectHugeBudgetServesEveryone(server.port(), 5);
+  server.Stop();
+}
+
 TEST_F(HttpServerTest, MalformedJsonIs400) {
   HttpClient client;
   const HttpResponse response =

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <vector>
@@ -24,6 +25,8 @@
 #include "podium/shard/scheme.h"
 #include "podium/shard/sharded_selector.h"
 #include "podium/shard/sharded_snapshot.h"
+#include "podium/telemetry/export.h"
+#include "podium/telemetry/telemetry.h"
 #include "podium/util/thread_pool.h"
 
 namespace podium::shard {
@@ -257,14 +260,11 @@ TEST(ShardedSelectorTest, SingleShardIsByteIdenticalToUnsharded) {
       const ShardFixture f = ShardFixture::Make(130, 5, weights, coverage);
       Result<std::shared_ptr<const ShardedSnapshot>> snapshot = f.Sharded(1);
       ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-      for (const GreedyMode mode :
-           {GreedyMode::kPlainScan, GreedyMode::kLazyHeap}) {
-        Result<ShardedSelection> selection =
-            ShardedSelector(mode).Select(*snapshot.value(), 5);
-        ASSERT_TRUE(selection.ok()) << selection.status().ToString();
-        EXPECT_EQ(selection->merged.users, f.unsharded.users);
-        EXPECT_EQ(selection->merged.score, f.unsharded.score);
-      }
+      Result<ShardedSelection> selection =
+          ShardedSelector().Select(*snapshot.value(), 5);
+      ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+      EXPECT_EQ(selection->merged.users, f.unsharded.users);
+      EXPECT_EQ(selection->merged.score, f.unsharded.score);
     }
   }
 }
@@ -318,6 +318,26 @@ TEST(ShardedSelectorTest, ThreadCountDoesNotChangeSelection) {
   util::ThreadPool::SetGlobalThreadCount(prior);
   EXPECT_EQ(results[0].users, results[1].users);
   EXPECT_EQ(results[0].score, results[1].score);
+}
+
+TEST(ShardedSelectorTest, BudgetBeyondPopulationSelectsEveryoneOnce) {
+  // A client-chosen budget near SIZE_MAX: pool_factor·B saturates instead
+  // of wrapping, and no per-round buffer is sized by B itself (telemetry
+  // on, so the per-run trace buffer is live).
+  const ShardFixture f =
+      ShardFixture::Make(70, 3, WeightKind::kLbs, CoverageKind::kSingle);
+  Result<std::shared_ptr<const ShardedSnapshot>> snapshot = f.Sharded(2);
+  ASSERT_TRUE(snapshot.ok());
+  telemetry::SetEnabled(true);
+  Result<ShardedSelection> selection = ShardedSelector().Select(
+      *snapshot.value(), std::numeric_limits<std::size_t>::max());
+  telemetry::SetEnabled(false);
+  telemetry::ResetAllTelemetry();
+  ASSERT_TRUE(selection.ok()) << selection.status().ToString();
+  const std::set<UserId> distinct(selection->merged.users.begin(),
+                                  selection->merged.users.end());
+  EXPECT_EQ(selection->merged.users.size(), f.data.repository.user_count());
+  EXPECT_EQ(distinct.size(), selection->merged.users.size());
 }
 
 TEST(ShardedSelectorTest, RejectsZeroBudget) {

@@ -159,15 +159,11 @@ DiversificationInstance MakeInstance(std::size_t budget) {
   return std::move(instance).value();
 }
 
-std::vector<GreedyRoundEvent> RunTracedGreedy(GreedyMode mode,
-                                              std::size_t budget,
+std::vector<GreedyRoundEvent> RunTracedGreedy(std::size_t budget,
                                               Selection* selection_out) {
   GreedyTrace::Clear();
-  GreedyOptions options;
-  options.mode = mode;
   const DiversificationInstance instance = MakeInstance(budget);
-  Result<Selection> selection =
-      GreedySelector(options).Select(instance, budget);
+  Result<Selection> selection = GreedySelector().Select(instance, budget);
   if (!selection.ok()) std::abort();
   *selection_out = std::move(selection).value();
   return GreedyTrace::Snapshot();
@@ -177,7 +173,7 @@ TEST_F(TelemetryTest, GreedyTraceReconstructsSelectionOrder) {
   constexpr std::size_t kBudget = 3;
   Selection selection;
   const std::vector<GreedyRoundEvent> events =
-      RunTracedGreedy(GreedyMode::kPlainScan, kBudget, &selection);
+      RunTracedGreedy(kBudget, &selection);
   ASSERT_EQ(events.size(), selection.users.size());
   double gain_sum = 0.0;
   for (std::size_t round = 0; round < events.size(); ++round) {
@@ -192,25 +188,6 @@ TEST_F(TelemetryTest, GreedyTraceReconstructsSelectionOrder) {
   }
   // The selection score is exactly the sum of marginal gains.
   EXPECT_NEAR(gain_sum, selection.score, 1e-9);
-}
-
-TEST_F(TelemetryTest, LazyHeapTraceMatchesPlainScan) {
-  constexpr std::size_t kBudget = 3;
-  Selection plain_selection;
-  const std::vector<GreedyRoundEvent> plain =
-      RunTracedGreedy(GreedyMode::kPlainScan, kBudget, &plain_selection);
-  Selection lazy_selection;
-  const std::vector<GreedyRoundEvent> lazy =
-      RunTracedGreedy(GreedyMode::kLazyHeap, kBudget, &lazy_selection);
-  ASSERT_EQ(plain.size(), lazy.size());
-  for (std::size_t round = 0; round < plain.size(); ++round) {
-    EXPECT_EQ(plain[round].user, lazy[round].user);
-    EXPECT_DOUBLE_EQ(plain[round].gain, lazy[round].gain);
-    // The lazy heap works for its argmax; the plain scan records no pops.
-    EXPECT_EQ(plain[round].heap_pops, 0u);
-    EXPECT_GE(lazy[round].heap_pops, 1u);
-  }
-  EXPECT_EQ(plain_selection.users, lazy_selection.users);
 }
 
 TEST_F(TelemetryTest, TraceRunIdsDistinguishRuns) {
@@ -239,7 +216,7 @@ TEST_F(TelemetryTest, JsonExportMatchesDocumentedSchema) {
   constexpr std::size_t kBudget = 2;
   Selection selection;
   const std::vector<GreedyRoundEvent> events =
-      RunTracedGreedy(GreedyMode::kLazyHeap, kBudget, &selection);
+      RunTracedGreedy(kBudget, &selection);
   ASSERT_EQ(events.size(), kBudget);
 
   const json::Value root = TelemetryToJson();
@@ -278,8 +255,8 @@ TEST_F(TelemetryTest, JsonExportMatchesDocumentedSchema) {
   ASSERT_EQ(trace->AsArray().size(), kBudget);
   const json::Object& round0 = trace->AsArray()[0].AsObject();
   for (const char* key :
-       {"run", "round", "user", "gain", "gain_secondary", "heap_pops",
-        "stale_reinserts", "retired_links", "retired_groups"}) {
+       {"run", "round", "user", "gain", "gain_secondary", "retired_links",
+        "retired_groups"}) {
     EXPECT_TRUE(round0.Contains(key)) << "missing trace key " << key;
   }
   EXPECT_EQ(round0.Find("user")->AsNumber(),
@@ -314,7 +291,7 @@ TEST_F(TelemetryTest, JsonExportEscapesHostileMetricNames) {
 
 TEST_F(TelemetryTest, WriteTelemetryJsonRoundTrips) {
   Selection selection;
-  RunTracedGreedy(GreedyMode::kPlainScan, 2, &selection);
+  RunTracedGreedy(2, &selection);
   const std::string path =
       ::testing::TempDir() + "/podium_telemetry_test.json";
   ASSERT_TRUE(WriteTelemetryJson(path).ok());
@@ -327,7 +304,7 @@ TEST_F(TelemetryTest, WriteTelemetryJsonRoundTrips) {
 
 TEST_F(TelemetryTest, RenderTimingSummaryListsPhasesAndCounters) {
   Selection selection;
-  RunTracedGreedy(GreedyMode::kPlainScan, 2, &selection);
+  RunTracedGreedy(2, &selection);
   const std::string summary = RenderTimingSummary();
   EXPECT_NE(summary.find("greedy.select"), std::string::npos);
   EXPECT_NE(summary.find("greedy.rounds"), std::string::npos);
@@ -335,7 +312,7 @@ TEST_F(TelemetryTest, RenderTimingSummaryListsPhasesAndCounters) {
 
 TEST_F(TelemetryTest, ResetAllTelemetryClearsEveryStore) {
   Selection selection;
-  RunTracedGreedy(GreedyMode::kPlainScan, 2, &selection);
+  RunTracedGreedy(2, &selection);
   ResetAllTelemetry();
   EXPECT_TRUE(GreedyTrace::Snapshot().empty());
   EXPECT_EQ(MetricsRegistry::Global()

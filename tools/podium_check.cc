@@ -1,7 +1,8 @@
 // Differential-correctness driver: generates small seeded instances and
 // asserts that the naïve Algorithm-1 oracle, the optimized selectors
-// (plain scan, lazy heap, 1/2/8 threads, forced-scalar and native SIMD
-// kernels), and the serve-layer SelectionService all agree byte for byte
+// (base and customized greedy at 1/2/8 threads under forced-scalar and
+// native SIMD kernels), and the serve-layer SelectionService all agree
+// byte for byte
 // — then fuzzes the JSON and HTTP parsers through their production entry
 // points.
 //
