@@ -79,7 +79,7 @@ std::vector<TimedSelection> RunSelectors(
           for (std::size_t i = begin; i < end; ++i) {
             util::Stopwatch stopwatch;
             Result<Selection> selection = [&] {
-              telemetry::PhaseSpan span("select." + selectors[i]->Name());
+              telemetry::Span span("select." + selectors[i]->Name());
               return selectors[i]->Select(instance, budget);
             }();
             const double seconds = stopwatch.ElapsedSeconds();
@@ -109,7 +109,7 @@ std::vector<TimedSelection> RunSelectors(
     if (split_phases) setup_before = SetupSeconds(telemetry::PhaseTreeSnapshot());
     util::Stopwatch stopwatch;
     Result<Selection> selection = [&] {
-      telemetry::PhaseSpan span("select." + selector->Name());
+      telemetry::Span span("select." + selector->Name());
       return selector->Select(instance, budget);
     }();
     const double seconds = stopwatch.ElapsedSeconds();

@@ -163,7 +163,7 @@ Selection RunScalarGreedy(const DiversificationInstance& instance,
 
   // Phase accounting: "greedy.init" covers the marginal-gain setup,
   // "greedy.rounds" the selection loop, "greedy.score" the final scoring.
-  std::optional<telemetry::PhaseSpan> phase;
+  std::optional<telemetry::Span> phase;
   phase.emplace("greedy.init");
   bool has_tier1 = false;
   bool all_tier0 = true;
@@ -267,7 +267,7 @@ Selection RunEbsGreedy(const DiversificationInstance& instance,
   const GroupIndex& groups = instance.groups();
   const std::size_t num_users = instance.repository().user_count();
 
-  std::optional<telemetry::PhaseSpan> phase;
+  std::optional<telemetry::Span> phase;
   phase.emplace("greedy.init");
   std::vector<EbsGain> gains(num_users);
   std::vector<std::uint32_t> remaining = instance.coverage();
@@ -347,12 +347,12 @@ Selection RunEbsGreedy(const DiversificationInstance& instance,
 
 Result<Selection> GreedySelector::Select(
     const DiversificationInstance& instance, std::size_t budget) const {
-  telemetry::PhaseSpan select_span("greedy.select");
+  telemetry::Span select_span("greedy.select");
   // "greedy.setup" covers everything before the algorithm proper: option
   // validation, candidate-pool materialization, tie-break ranks, weight
   // perturbation. Closed right before dispatching to the run loop so the
   // bench harness can separate setup from selection cost.
-  std::optional<telemetry::PhaseSpan> setup_span;
+  std::optional<telemetry::Span> setup_span;
   setup_span.emplace("greedy.setup");
   const std::size_t num_users = instance.repository().user_count();
   const std::size_t num_groups = instance.groups().group_count();

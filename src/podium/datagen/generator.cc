@@ -98,7 +98,7 @@ Result<Dataset> GenerateDataset(const DatasetConfig& config) {
     return Status::InvalidArgument("invalid review count range");
   }
 
-  telemetry::PhaseSpan generate_span("datagen.generate");
+  telemetry::Span generate_span("datagen.generate");
   Dataset dataset;
   dataset.config = config;
   util::Rng rng(config.seed);
@@ -131,7 +131,7 @@ Result<Dataset> GenerateDataset(const DatasetConfig& config) {
   }
 
   // --- Personas and users -------------------------------------------------
-  std::optional<telemetry::PhaseSpan> section;
+  std::optional<telemetry::Span> section;
   section.emplace("datagen.users");
   util::Rng persona_rng = rng.Fork(1);
   std::vector<Persona> personas;

@@ -97,7 +97,7 @@ Status GroupIndex::FinalizeAdjacency(
 
 Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
                                      const GroupingOptions& options) {
-  telemetry::PhaseSpan span("group_index.build");
+  telemetry::Span span("group_index.build");
   Result<std::unique_ptr<bucketing::Bucketizer>> bucketizer =
       bucketing::MakeBucketizer(options.bucket_method);
   if (!bucketizer.ok()) return bucketizer.status();

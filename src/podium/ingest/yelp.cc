@@ -83,7 +83,7 @@ Result<YelpDataset> IngestYelp(const std::string& business_path,
                                const std::string& review_path,
                                const std::string& user_path,
                                const YelpIngestOptions& options) {
-  telemetry::PhaseSpan ingest_span("ingest.yelp");
+  telemetry::Span ingest_span("ingest.yelp");
   YelpDataset dataset;
 
   // --- Topic vocabulary -----------------------------------------------------
@@ -96,7 +96,7 @@ Result<YelpDataset> IngestYelp(const std::string& business_path,
   }
 
   // --- businesses -----------------------------------------------------------
-  std::optional<telemetry::PhaseSpan> section;
+  std::optional<telemetry::Span> section;
   section.emplace("ingest.businesses");
   std::unordered_map<std::string, Business> businesses;
   PODIUM_RETURN_IF_ERROR(ForEachJsonLine(

@@ -645,7 +645,7 @@ constexpr ModuleRule kModuleDag[] = {
     {"metrics", "core groups opinion util"},
     {"datagen", "opinion profile taxonomy telemetry util"},
     {"ingest", "datagen json opinion profile telemetry util"},
-    {"shard", "bucketing core groups obs profile telemetry util"},
+    {"shard", "bucketing core groups profile telemetry util"},
     {"serve", "core groups json obs profile shard telemetry util"},
     {"check", "core datagen json serve shard util"},
 };

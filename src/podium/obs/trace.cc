@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <utility>
 
 namespace podium::obs {
@@ -47,8 +48,6 @@ std::uint64_t ProcessSeed() {
   return seed;
 }
 
-thread_local TraceContext* t_current_trace = nullptr;
-
 }  // namespace
 
 std::string TraceId::ToHex() const {
@@ -84,66 +83,6 @@ TraceId TraceId::Generate() {
   id.low = SplitMix64(state);
   if (id.IsZero()) id.low = 1;  // the zero id means "no trace"
   return id;
-}
-
-TraceContext::TraceContext(TraceId id)
-    : id_(id), start_(std::chrono::steady_clock::now()) {}
-
-int TraceContext::BeginSpan(std::string_view name) {
-  TraceSpan span;
-  span.name = std::string(name);
-  span.parent = open_stack_.empty() ? -1 : open_stack_.back();
-  span.start_seconds = ElapsedSeconds();
-  const int index = static_cast<int>(spans_.size());
-  spans_.push_back(std::move(span));
-  open_stack_.push_back(index);
-  return index;
-}
-
-void TraceContext::EndSpan(int index) {
-  if (index < 0 || index >= static_cast<int>(spans_.size())) return;
-  TraceSpan& span = spans_[static_cast<std::size_t>(index)];
-  span.duration_seconds = ElapsedSeconds() - span.start_seconds;
-  // Pop through any unclosed children so a missed EndSpan cannot wedge
-  // the open stack for the rest of the request.
-  while (!open_stack_.empty() && open_stack_.back() >= index) {
-    open_stack_.pop_back();
-  }
-}
-
-int TraceContext::AddCompletedSpan(std::string_view name,
-                                   double start_seconds,
-                                   double duration_seconds) {
-  TraceSpan span;
-  span.name = std::string(name);
-  span.parent = open_stack_.empty() ? -1 : open_stack_.back();
-  span.start_seconds = start_seconds;
-  span.duration_seconds = duration_seconds;
-  const int index = static_cast<int>(spans_.size());
-  spans_.push_back(std::move(span));
-  return index;
-}
-
-double TraceContext::ElapsedSeconds() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start_)
-      .count();
-}
-
-TraceContext* CurrentTrace() { return t_current_trace; }
-
-TraceScope::TraceScope(TraceContext* context) : previous_(t_current_trace) {
-  t_current_trace = context;
-}
-
-TraceScope::~TraceScope() { t_current_trace = previous_; }
-
-Span::Span(std::string_view name) : trace_(t_current_trace) {
-  if (trace_ != nullptr) index_ = trace_->BeginSpan(name);
-}
-
-Span::~Span() {
-  if (trace_ != nullptr) trace_->EndSpan(index_);
 }
 
 TraceRing::TraceRing(std::size_t capacity) : capacity_(capacity) {}

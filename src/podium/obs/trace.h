@@ -1,7 +1,6 @@
 #ifndef PODIUM_OBS_TRACE_H_
 #define PODIUM_OBS_TRACE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -9,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "podium/telemetry/phase.h"
 #include "podium/util/mutex.h"
 #include "podium/util/thread_annotations.h"
 
@@ -34,85 +34,6 @@ struct TraceId {
   static TraceId Generate();
 };
 
-/// One timed operation inside a request. Spans form a tree via
-/// `parent` (index into the trace's span vector, -1 for roots); the serve
-/// stack nests e.g. select → admission/cache.lookup/run.
-struct TraceSpan {
-  std::string name;
-  int parent = -1;
-  /// Offset from the trace's start, and duration, both in seconds.
-  double start_seconds = 0.0;
-  double duration_seconds = 0.0;
-};
-
-/// Per-request trace state: the id plus the span list. Created by the
-/// HTTP server when a request arrives and installed as the calling
-/// thread's current trace, so layers below (service, cache) can attach
-/// spans without threading a context parameter through every signature.
-/// NOT thread-safe — a request is handled by one thread; work fanned out
-/// to pool threads is accounted to the span that launched it.
-class TraceContext {
- public:
-  explicit TraceContext(TraceId id);
-
-  const TraceId& id() const { return id_; }
-
-  /// Opens a span; returns its index (pass to EndSpan). Nested spans
-  /// record the innermost open span as their parent.
-  int BeginSpan(std::string_view name);
-  void EndSpan(int index);
-
-  /// Records an already-measured span (offset + duration in seconds,
-  /// relative to the trace start) under the innermost open span. Used by
-  /// layers that fan work out to pool threads — the sharded selector
-  /// measures each shard's wall clock off-thread and projects it into the
-  /// request trace, which the RAII Span cannot do from a non-request
-  /// thread. Returns the span's index.
-  int AddCompletedSpan(std::string_view name, double start_seconds,
-                       double duration_seconds);
-
-  double ElapsedSeconds() const;
-  const std::vector<TraceSpan>& spans() const { return spans_; }
-
- private:
-  TraceId id_;
-  std::chrono::steady_clock::time_point start_;
-  std::vector<TraceSpan> spans_;
-  std::vector<int> open_stack_;  // indices of currently-open spans
-};
-
-/// The thread's current trace, or nullptr outside a request. Managed by
-/// TraceScope; everything else only reads it.
-TraceContext* CurrentTrace();
-
-/// RAII installer: makes `context` the calling thread's current trace for
-/// the scope's lifetime (restoring the previous one, so tests can nest).
-class TraceScope {
- public:
-  explicit TraceScope(TraceContext* context);
-  ~TraceScope();
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
- private:
-  TraceContext* previous_;
-};
-
-/// RAII span against the thread's current trace; a no-op (one TLS read)
-/// when no trace is installed, so library code can be instrumented
-/// unconditionally.
-class Span {
- public:
-  explicit Span(std::string_view name);
-  ~Span();
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
- private:
-  TraceContext* trace_;
-  int index_ = -1;
-};
-
 /// A completed request trace, as exported by GET /v1/traces.
 struct FinishedTrace {
   std::string trace_id;  // 32 hex chars
@@ -121,7 +42,7 @@ struct FinishedTrace {
   int http_status = 0;
   double start_unix_seconds = 0.0;
   double total_seconds = 0.0;
-  std::vector<TraceSpan> spans;
+  std::vector<telemetry::TraceSpan> spans;
 };
 
 /// Bounded in-memory ring of the most recent finished traces. One global

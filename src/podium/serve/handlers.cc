@@ -96,6 +96,11 @@ HttpResponse HandleHealthz(SelectionService& service) {
 }
 
 HttpResponse HandleMetrics(std::string_view query) {
+  // Sampled at scrape time, beside telemetry.greedy_trace.retained: every
+  // process-wide buffer exports its size.
+  telemetry::MetricsRegistry::Global()
+      .gauge("obs.trace_ring.retained")
+      .Set(static_cast<double>(obs::TraceRing::Global().size()));
   if (const std::optional<std::string_view> format =
           QueryParam(query, "format");
       format.has_value()) {
@@ -121,7 +126,7 @@ HttpResponse HandleMetrics(std::string_view query) {
       200, "OK", json::Write(telemetry::TelemetryToJson(), options) + "\n");
 }
 
-json::Value SpanToJson(const obs::TraceSpan& span) {
+json::Value SpanToJson(const telemetry::TraceSpan& span) {
   json::Object out;
   out.Set("name", json::Value(span.name));
   out.Set("parent", json::Value(static_cast<double>(span.parent)));
@@ -156,7 +161,7 @@ HttpResponse HandleTraces(std::string_view query) {
     item.Set("duration_seconds", json::Value(trace.total_seconds));
     json::Array spans;
     spans.reserve(trace.spans.size());
-    for (const obs::TraceSpan& span : trace.spans) {
+    for (const telemetry::TraceSpan& span : trace.spans) {
       spans.push_back(SpanToJson(span));
     }
     item.Set("spans", json::Value(std::move(spans)));

@@ -8,11 +8,14 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <exception>
 #include <utility>
 
 #include "podium/obs/log.h"
 #include "podium/obs/trace.h"
 #include "podium/serve/io_util.h"
+#include "podium/telemetry/phase.h"
+#include "podium/telemetry/telemetry.h"
 #include "podium/util/string_util.h"
 
 namespace podium::serve {
@@ -21,11 +24,12 @@ namespace {
 
 /// Compact span rendering for sampled access-log lines:
 /// "select:3.21ms,select/run:3.08ms" (child names prefixed by parent).
-std::string RenderSpansCompact(const std::vector<obs::TraceSpan>& spans) {
+std::string RenderSpansCompact(
+    const std::vector<telemetry::TraceSpan>& spans) {
   std::string out;
   std::vector<std::string> qualified(spans.size());
   for (std::size_t i = 0; i < spans.size(); ++i) {
-    const obs::TraceSpan& span = spans[i];
+    const telemetry::TraceSpan& span = spans[i];
     qualified[i] =
         span.parent >= 0 &&
                 static_cast<std::size_t>(span.parent) < qualified.size()
@@ -37,6 +41,25 @@ std::string RenderSpansCompact(const std::vector<obs::TraceSpan>& spans) {
     out += util::StringPrintf(":%.3fms", span.duration_seconds * 1e3);
   }
   return out;
+}
+
+/// The 500 a worker answers when the handler throws (bad_alloc, say): the
+/// exception has unwound the handler's spans and trace scope, and the
+/// server keeps serving.
+HttpResponse HandlerThrew(std::string_view what) {
+  obs::LogError("request handler threw").Str("what", what);
+  if (telemetry::Enabled()) {
+    telemetry::MetricsRegistry::Global()
+        .counter("serve.worker.exceptions")
+        .Add();
+  }
+  HttpResponse response;
+  response.status = 500;
+  response.reason = "Server Error";
+  response.headers.emplace_back("Content-Type", "application/json");
+  response.body =
+      "{\"error\":\"Internal\",\"message\":\"the request handler threw\"}\n";
+  return response;
 }
 
 double UnixSecondsNow() {
@@ -159,16 +182,20 @@ HttpResponse HttpServer::DispatchTraced(const HttpRequest& request,
   if (trace_id.IsZero()) trace_id = obs::TraceId::Generate();
 
   const double start_unix = UnixSecondsNow();
-  obs::TraceContext trace(trace_id);
+  telemetry::TraceContext trace;
   // The wait for a worker happened before this trace existed; project it
   // as a span at offset 0 so trace views show queueing next to handling.
   if (queue_seconds > 0.0) {
     trace.AddCompletedSpan("http.queue", 0.0, queue_seconds);
   }
   HttpResponse response;
-  {
-    obs::TraceScope scope(&trace);
+  try {
+    telemetry::TraceScope scope(&trace);
     response = handler_(request);
+  } catch (const std::exception& error) {
+    response = HandlerThrew(error.what());
+  } catch (...) {
+    response = HandlerThrew("non-standard exception");
   }
   const double total_seconds = trace.ElapsedSeconds();
   const std::string trace_hex = trace_id.ToHex();

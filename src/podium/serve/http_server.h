@@ -80,7 +80,9 @@ class HttpServer {
 
   /// Runs handler_ under a fresh TraceContext, records the finished trace
   /// (with the worker-pool queue delay as an "http.queue" span) and the
-  /// access-log line, and stamps the trace id on the response.
+  /// access-log line, and stamps the trace id on the response. An
+  /// exception escaping handler_ becomes a 500 JSON error (counted in
+  /// serve.worker.exceptions) instead of terminating the process.
   HttpResponse DispatchTraced(const HttpRequest& request,
                               double queue_seconds);
 

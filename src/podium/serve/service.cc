@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "podium/core/explanation.h"
-#include "podium/obs/trace.h"
 #include "podium/shard/sharded_selector.h"
 #include "podium/telemetry/phase.h"
 #include "podium/telemetry/telemetry.h"
@@ -144,7 +143,7 @@ Result<ServiceReply> SelectionService::Select(const SelectionRequest& request) {
   const bool telemetry_on = telemetry::Enabled();
   if (telemetry_on) ServeMetrics::Get().requests.Add();
   util::Stopwatch total;
-  obs::Span select_span("select");
+  telemetry::Span select_span("select");
 
   const std::shared_ptr<const Snapshot> snapshot = holder_.Current();
   if (snapshot == nullptr) {
@@ -157,7 +156,7 @@ Result<ServiceReply> SelectionService::Select(const SelectionRequest& request) {
 
   const std::string key = CanonicalRequestKey(snapshot->generation(), request);
   {
-    obs::Span lookup_span("cache.lookup");
+    telemetry::Span lookup_span("cache.lookup");
     util::Stopwatch lookup;
     std::optional<std::string> cached = cache_.Get(key);
     if (telemetry_on) {
@@ -191,7 +190,7 @@ Result<ServiceReply> SelectionService::Select(const SelectionRequest& request) {
   SingleFlight::Outcome flight = single_flight_.Do(key, [&]()
                                                        -> Result<std::string> {
     Status admitted = [&] {
-      obs::Span admission_span("admission");
+      telemetry::Span admission_span("admission");
       return Admit(deadline_ms, &reply.queue_seconds);
     }();
     if (!admitted.ok()) return admitted;
@@ -205,7 +204,7 @@ Result<ServiceReply> SelectionService::Select(const SelectionRequest& request) {
 
     util::Stopwatch run;
     Result<std::string> body = [&] {
-      obs::Span run_span("run");
+      telemetry::Span run_span("run");
       return RunSelection(*snapshot, request);
     }();
     reply.run_seconds = run.ElapsedSeconds();
@@ -312,8 +311,6 @@ SelectionService::PooledInstance(const Snapshot& snapshot,
 
 Result<std::string> SelectionService::RunSelection(
     const Snapshot& snapshot, const SelectionRequest& request) {
-  telemetry::PhaseSpan span("serve.select");
-
   SelectionOutcome outcome;
   outcome.snapshot_generation = snapshot.generation();
   outcome.request = request;

@@ -1,5 +1,6 @@
 #include "podium/serve/single_flight.h"
 
+#include <exception>
 #include <utility>
 
 #include "podium/telemetry/telemetry.h"
@@ -49,7 +50,16 @@ SingleFlight::Outcome SingleFlight::Do(
     return outcome;
   }
 
-  Result<std::string> result = compute();
+  // A throwing compute still lands the flight, as Internal, before the
+  // exception propagates: otherwise its followers would park forever and
+  // the key would stay wedged for every later request.
+  Result<std::string> result = Status::Internal("the leading request threw");
+  std::exception_ptr thrown;
+  try {
+    result = compute();
+  } catch (...) {
+    thrown = std::current_exception();
+  }
 
   {
     util::MutexLock lock(mutex_);
@@ -66,6 +76,7 @@ SingleFlight::Outcome SingleFlight::Do(
     flights_.erase(key);
   }
   flight_done_.NotifyAll();
+  if (thrown) std::rethrow_exception(thrown);
   return outcome;
 }
 

@@ -15,7 +15,7 @@ namespace podium::serve {
 Result<std::shared_ptr<const Snapshot>> Snapshot::Build(
     ProfileRepository repository, const SnapshotOptions& options,
     std::uint64_t generation) {
-  telemetry::PhaseSpan span("serve.snapshot_build");
+  telemetry::Span span("serve.snapshot_build");
   // make_shared needs a public constructor; the factory keeps construction
   // in two steps so the instance points at the repository's final address.
   std::shared_ptr<Snapshot> snapshot(
@@ -108,7 +108,7 @@ bool Snapshot::MatchesDefaultInstance(WeightKind weight_kind,
 Result<DiversificationInstance> Snapshot::MakeInstance(
     WeightKind weight_kind, CoverageKind coverage_kind,
     std::size_t budget) const {
-  telemetry::PhaseSpan span("serve.make_instance");
+  telemetry::Span span("serve.make_instance");
   return DiversificationInstance::FromGroups(
       repository_, default_instance_.groups(), weight_kind, coverage_kind,
       budget);

@@ -64,7 +64,7 @@ Result<PartitionPlan> Partitioner::Partition(
   if (options.num_shards == 0) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
-  telemetry::PhaseSpan span("shard.partition");
+  telemetry::Span span("shard.partition");
 
   const std::size_t num_users = repository.user_count();
   const std::size_t k = options.num_shards;

@@ -17,7 +17,7 @@ constexpr std::size_t kUserGrain = 256;
 
 Result<GroupScheme> BuildGroupScheme(const ProfileRepository& repository,
                                      const GroupingOptions& options) {
-  telemetry::PhaseSpan span("shard.scheme");
+  telemetry::Span span("shard.scheme");
   Result<std::unique_ptr<bucketing::Bucketizer>> bucketizer =
       bucketing::MakeBucketizer(options.bucket_method);
   if (!bucketizer.ok()) return bucketizer.status();

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "podium/obs/trace.h"
 #include "podium/telemetry/phase.h"
 #include "podium/telemetry/telemetry.h"
 #include "podium/util/stopwatch.h"
@@ -36,8 +35,7 @@ Result<ShardedSelection> ShardedSelector::Select(
   if (budget == 0) {
     return Status::InvalidArgument("budget must be positive");
   }
-  obs::Span select_span("shard.select");
-  telemetry::PhaseSpan phase("shard.select");
+  telemetry::Span select_span("shard.select");
   const std::size_t k = snapshot.shard_count();
 
   ShardedSelection result;
@@ -56,7 +54,7 @@ Result<ShardedSelection> ShardedSelector::Select(
               budget > std::numeric_limits<std::size_t>::max() / pool_factor
           ? std::numeric_limits<std::size_t>::max()
           : std::max(pool_factor * budget, budget);
-  obs::TraceContext* trace = obs::CurrentTrace();
+  telemetry::TraceContext* trace = telemetry::CurrentTrace();
   const double fanout_start =
       trace == nullptr ? 0.0 : trace->ElapsedSeconds();
   std::vector<Selection> pools(k);
@@ -113,8 +111,7 @@ Result<ShardedSelection> ShardedSelector::Select(
   // weights are integers and every partial sum stays below 2^52.
   util::Stopwatch merge_watch;
   {
-    obs::Span merge_span("shard.merge");
-    telemetry::PhaseSpan merge_phase("shard.merge");
+    telemetry::Span merge_span("shard.merge");
     const std::vector<double>& weights = snapshot.weights();
     std::vector<std::uint32_t> remaining = snapshot.coverage();
     const std::size_t num_groups = remaining.size();

@@ -74,7 +74,7 @@ std::size_t ShardSnapshot::MemoryBytes() const {
 Result<std::shared_ptr<const ShardedSnapshot>> ShardedSnapshot::Build(
     const ProfileRepository& repository, const InstanceOptions& instance,
     const ShardOptions& options, std::uint64_t generation) {
-  telemetry::PhaseSpan span("shard.snapshot.build");
+  telemetry::Span span("shard.snapshot.build");
   if (instance.budget == 0) {
     return Status::InvalidArgument("budget must be positive");
   }

@@ -106,6 +106,11 @@ json::Value TelemetryToJson() {
     trace.push_back(TraceEventToJson(event));
   }
   root.Set("greedy_trace", json::Value(std::move(trace)));
+  root.Set("greedy_trace_dropped",
+           json::Value(static_cast<double>(
+               MetricsRegistry::Global()
+                   .counter("telemetry.greedy_trace.dropped")
+                   .Value())));
   return json::Value(std::move(root));
 }
 

@@ -27,7 +27,8 @@ inline constexpr int kTelemetrySchemaVersion = 2;
 ///              "children": [...]},
 ///   "greedy_trace": [{"run": 0, "round": 0, "user": 3, "gain": 12.5,
 ///                     "gain_secondary": 0, "retired_links": 4,
-///                     "retired_groups": 2}, ...]
+///                     "retired_groups": 2}, ...],
+///   "greedy_trace_dropped": 0  // events evicted past GreedyTrace::kCapacity
 /// }
 json::Value TelemetryToJson();
 

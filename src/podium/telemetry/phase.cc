@@ -2,10 +2,12 @@
 
 #include <atomic>
 #include <memory>
+#include <utility>
 
 #include "podium/telemetry/telemetry.h"
 #include "podium/util/mutex.h"
 #include "podium/util/thread_annotations.h"
+#include "podium/util/thread_pool.h"
 
 namespace podium::telemetry {
 
@@ -45,6 +47,8 @@ PhaseNode& Root() {
 /// become its children.
 thread_local PhaseNode* t_current = nullptr;
 
+thread_local TraceContext* t_current_trace = nullptr;
+
 PhaseNode* ChildNamed(PhaseNode& parent, std::string_view name)
     PODIUM_EXCLUDES(g_tree_mutex) {
   util::MutexLock lock(g_tree_mutex);
@@ -83,7 +87,58 @@ void ResetNode(PhaseNode& node) PODIUM_REQUIRES(g_tree_mutex) {
 }  // namespace
 }  // namespace internal
 
-PhaseSpan::PhaseSpan(std::string_view name) {
+TraceContext::TraceContext() : start_(std::chrono::steady_clock::now()) {}
+
+int TraceContext::BeginSpan(std::string_view name) {
+  const int index = AddCompletedSpan(name, ElapsedSeconds(), 0.0);
+  open_stack_.push_back(index);
+  return index;
+}
+
+void TraceContext::EndSpan(int index) {
+  if (index < 0 || index >= static_cast<int>(spans_.size())) return;
+  TraceSpan& span = spans_[static_cast<std::size_t>(index)];
+  span.duration_seconds = ElapsedSeconds() - span.start_seconds;
+  // Pop through any unclosed children so a missed EndSpan cannot wedge
+  // the open stack for the rest of the request.
+  while (!open_stack_.empty() && open_stack_.back() >= index) {
+    open_stack_.pop_back();
+  }
+}
+
+int TraceContext::AddCompletedSpan(std::string_view name,
+                                   double start_seconds,
+                                   double duration_seconds) {
+  TraceSpan span;
+  span.name = std::string(name);
+  span.parent = open_stack_.empty() ? -1 : open_stack_.back();
+  span.start_seconds = start_seconds;
+  span.duration_seconds = duration_seconds;
+  const int index = static_cast<int>(spans_.size());
+  spans_.push_back(std::move(span));
+  return index;
+}
+
+double TraceContext::ElapsedSeconds() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start_)
+      .count();
+}
+
+TraceContext* CurrentTrace() { return internal::t_current_trace; }
+
+TraceScope::TraceScope(TraceContext* context)
+    : previous_(internal::t_current_trace) {
+  internal::t_current_trace = context;
+}
+
+TraceScope::~TraceScope() { internal::t_current_trace = previous_; }
+
+Span::Span(std::string_view name) {
+  if (internal::t_current_trace != nullptr && !util::InParallelForBody()) {
+    trace_ = internal::t_current_trace;
+    index_ = trace_->BeginSpan(name);
+  }
   if (!Enabled()) return;
   internal::PhaseNode* parent =
       internal::t_current != nullptr ? internal::t_current : &internal::Root();
@@ -92,24 +147,19 @@ PhaseSpan::PhaseSpan(std::string_view name) {
   start_ = std::chrono::steady_clock::now();
 }
 
-PhaseSpan::~PhaseSpan() {
-  if (node_ == nullptr) return;
-  const auto elapsed = std::chrono::steady_clock::now() - start_;
-  node_->nanos.fetch_add(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-              .count()),
-      std::memory_order_relaxed);
-  node_->count.fetch_add(1, std::memory_order_relaxed);
-  internal::t_current = node_->parent == &internal::Root() ? nullptr
-                                                           : node_->parent;
-}
-
-double PhaseSpan::ElapsedSeconds() const {
-  if (node_ == nullptr) return 0.0;
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start_)
-      .count();
+Span::~Span() {
+  if (node_ != nullptr) {
+    const auto elapsed = std::chrono::steady_clock::now() - start_;
+    node_->nanos.fetch_add(
+        static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+                .count()),
+        std::memory_order_relaxed);
+    node_->count.fetch_add(1, std::memory_order_relaxed);
+    internal::t_current = node_->parent == &internal::Root() ? nullptr
+                                                             : node_->parent;
+  }
+  if (trace_ != nullptr) trace_->EndSpan(index_);
 }
 
 PhaseStats PhaseTreeSnapshot() {

@@ -4,7 +4,6 @@
 
 namespace podium::telemetry {
 
-#if !defined(PODIUM_TELEMETRY_DISABLED)
 namespace internal {
 std::atomic<bool> g_enabled{false};
 }  // namespace internal
@@ -12,7 +11,6 @@ std::atomic<bool> g_enabled{false};
 void SetEnabled(bool enabled) {
   internal::g_enabled.store(enabled, std::memory_order_relaxed);
 }
-#endif
 
 namespace {
 

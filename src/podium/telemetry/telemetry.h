@@ -15,24 +15,17 @@
 
 namespace podium::telemetry {
 
-/// Telemetry is opt-in: the library records nothing until SetEnabled(true)
-/// (experiment binaries and the CLI enable it; plain library users pay one
-/// relaxed atomic load per instrumented call). Defining
-/// PODIUM_TELEMETRY_DISABLED at compile time turns every instrumentation
-/// site into a constant-false branch the optimizer deletes outright.
-#if defined(PODIUM_TELEMETRY_DISABLED)
-inline constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool /*enabled*/) {}
-#else
 namespace internal {
 extern std::atomic<bool> g_enabled;
 }  // namespace internal
 
+/// Telemetry is opt-in: the library records nothing until SetEnabled(true)
+/// (experiment binaries, the CLI and the server enable it; plain library
+/// users pay one relaxed atomic load per instrumented call).
 inline bool Enabled() {
   return internal::g_enabled.load(std::memory_order_relaxed);
 }
 void SetEnabled(bool enabled);
-#endif
 
 /// Monotonically increasing event count. Add() is lock-free (a relaxed
 /// fetch_add); concurrent increments from any number of threads lose no

@@ -1,6 +1,7 @@
 #ifndef PODIUM_TELEMETRY_TRACE_H_
 #define PODIUM_TELEMETRY_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -32,15 +33,21 @@ struct GreedyRoundEvent {
   std::uint32_t retired_groups = 0;
 };
 
-/// Process-wide sink for greedy selection traces.
+/// Process-wide sink for greedy selection traces, bounded: it keeps the
+/// newest kCapacity events (2.5 MiB), counts evictions in the
+/// "telemetry.greedy_trace.dropped" counter and exports its size as the
+/// "telemetry.greedy_trace.retained" gauge.
 class GreedyTrace {
  public:
+  static constexpr std::size_t kCapacity = 65536;
+
   /// Reserves a fresh run id (callers stamp it into their events).
   static std::uint32_t NextRunId();
 
   static void Record(const GreedyRoundEvent& event);
   static void Record(const std::vector<GreedyRoundEvent>& events);
 
+  /// The retained events, oldest first.
   static std::vector<GreedyRoundEvent> Snapshot();
   static void Clear();
 };

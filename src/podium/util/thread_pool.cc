@@ -28,7 +28,13 @@ thread_local bool t_in_parallel = false;
 
 }  // namespace
 
+thread_local bool internal::t_in_inline_body = false;
+
 bool InParallelRegion() { return t_in_parallel; }
+
+bool InParallelForBody() {
+  return t_in_parallel || internal::t_in_inline_body;
+}
 
 ChunkPlan PlanChunks(std::size_t n, std::size_t grain) {
   ChunkPlan plan;
@@ -213,7 +219,7 @@ void DispatchParallelFor(
   registry.gauge(prefix + ".threads")
       .Set(static_cast<double>(std::min(pool.thread_count(), plan.num_chunks)));
   registry.gauge(prefix + ".chunks").Set(static_cast<double>(plan.num_chunks));
-  telemetry::PhaseSpan span(prefix);
+  telemetry::Span span(prefix);
   pool.ParallelFor(n, grain, body);
 }
 

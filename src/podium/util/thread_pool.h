@@ -42,6 +42,10 @@ inline constexpr std::size_t kMaxChunks = 64;
 /// parallel loops detect this and run serially inline.
 bool InParallelRegion();
 
+/// True while the calling thread runs any ParallelFor body, dispatched or
+/// inline; telemetry::Span keeps spans opened here out of the request trace.
+bool InParallelForBody();
+
 /// Fixed pool of worker threads executing chunked parallel-for loops.
 /// There is no work stealing and no task queue: each ParallelFor cuts its
 /// range with PlanChunks and the workers (plus the calling thread) claim
@@ -104,6 +108,15 @@ class ThreadPool {
 };
 
 namespace internal {
+extern thread_local bool t_in_inline_body;
+
+/// Flags an inline ParallelFor body for InParallelForBody.
+struct InlineBodyScope {
+  InlineBodyScope() : previous(t_in_inline_body) { t_in_inline_body = true; }
+  ~InlineBodyScope() { t_in_inline_body = previous; }
+  const bool previous;
+};
+
 /// Telemetry + dispatch behind the ParallelFor template: records the
 /// per-phase utilization gauges and runs the loop on the global pool.
 void DispatchParallelFor(
@@ -116,7 +129,7 @@ void DispatchParallelFor(
 /// body(begin, end, chunk) must not touch state written by other chunks;
 /// results keyed by chunk index (or by element index) are deterministic.
 /// `name` labels the loop in telemetry ("parallel.<name>.*" gauges and a
-/// "parallel.<name>" phase span). Single-chunk ranges, 1-thread pools and
+/// "parallel.<name>" span). Single-chunk ranges, 1-thread pools and
 /// nested calls run inline on the caller with zero dispatch cost.
 template <typename Body>
 void ParallelFor(std::string_view name, std::size_t n, Body&& body,
@@ -125,6 +138,7 @@ void ParallelFor(std::string_view name, std::size_t n, Body&& body,
   const ChunkPlan plan = PlanChunks(n, grain);
   if (plan.num_chunks == 1 || InParallelRegion() ||
       ThreadPool::GlobalThreadCount() == 1) {
+    const internal::InlineBodyScope inline_body;
     for (std::size_t chunk = 0; chunk < plan.num_chunks; ++chunk) {
       body(plan.ChunkBegin(chunk), plan.ChunkEnd(chunk, n), chunk);
     }

@@ -118,7 +118,7 @@ TEST(HarnessTest, RunSelectorsSplitsSetupFromSelection) {
 // The exported document's layout is a stable, versioned schema; this is
 // the golden check for its skeleton (top-level keys, schema header, and
 // per-trace-event keys). Schema changes must update kTelemetrySchemaVersion
-// and DESIGN.md in the same commit as this test.
+// (additive ones keep it) and DESIGN.md in the same commit as this test.
 TEST(HarnessTest, ExportedTelemetryJsonMatchesGoldenSchema) {
   telemetry::SetEnabled(true);
   telemetry::ResetAllTelemetry();
@@ -135,7 +135,8 @@ TEST(HarnessTest, ExportedTelemetryJsonMatchesGoldenSchema) {
   const json::Object& root = parsed.value().AsObject();
 
   const std::vector<std::string> golden_keys = {
-      "schema", "counters", "gauges", "histograms", "phases", "greedy_trace"};
+      "schema", "counters",     "gauges",              "histograms",
+      "phases", "greedy_trace", "greedy_trace_dropped"};
   ASSERT_EQ(root.size(), golden_keys.size());
   for (std::size_t i = 0; i < golden_keys.size(); ++i) {
     EXPECT_EQ(root.entries()[i].first, golden_keys[i]);

@@ -61,86 +61,6 @@ TEST(TraceIdTest, GenerateIsNonZeroAndDistinct) {
   EXPECT_EQ(seen.size(), 64u);
 }
 
-// --- TraceContext ----------------------------------------------------------
-
-TEST(TraceContextTest, SpansNestViaParentIndices) {
-  TraceContext trace(TraceId::Generate());
-  const int select = trace.BeginSpan("select");
-  const int lookup = trace.BeginSpan("cache.lookup");
-  trace.EndSpan(lookup);
-  const int run = trace.BeginSpan("run");
-  trace.EndSpan(run);
-  trace.EndSpan(select);
-
-  ASSERT_EQ(trace.spans().size(), 3u);
-  EXPECT_EQ(trace.spans()[0].name, "select");
-  EXPECT_EQ(trace.spans()[0].parent, -1);
-  EXPECT_EQ(trace.spans()[1].name, "cache.lookup");
-  EXPECT_EQ(trace.spans()[1].parent, select);
-  EXPECT_EQ(trace.spans()[2].name, "run");
-  EXPECT_EQ(trace.spans()[2].parent, select);
-  for (const TraceSpan& span : trace.spans()) {
-    EXPECT_GE(span.start_seconds, 0.0);
-    EXPECT_GE(span.duration_seconds, 0.0);
-  }
-}
-
-TEST(TraceContextTest, EndingAParentPopsUnclosedChildren) {
-  TraceContext trace(TraceId::Generate());
-  const int outer = trace.BeginSpan("outer");
-  trace.BeginSpan("leaked");  // never explicitly ended
-  trace.EndSpan(outer);
-  // The open stack recovered: the next root span has no parent.
-  const int next = trace.BeginSpan("next");
-  trace.EndSpan(next);
-  EXPECT_EQ(trace.spans()[static_cast<std::size_t>(next)].parent, -1);
-}
-
-TEST(TraceContextTest, EndSpanIgnoresBogusIndices) {
-  TraceContext trace(TraceId::Generate());
-  trace.EndSpan(-1);
-  trace.EndSpan(42);
-  EXPECT_TRUE(trace.spans().empty());
-}
-
-// --- TraceScope / Span -----------------------------------------------------
-
-TEST(TraceScopeTest, InstallsAndRestoresNested) {
-  EXPECT_EQ(CurrentTrace(), nullptr);
-  TraceContext outer(TraceId::Generate());
-  {
-    TraceScope outer_scope(&outer);
-    EXPECT_EQ(CurrentTrace(), &outer);
-    TraceContext inner(TraceId::Generate());
-    {
-      TraceScope inner_scope(&inner);
-      EXPECT_EQ(CurrentTrace(), &inner);
-    }
-    EXPECT_EQ(CurrentTrace(), &outer);
-  }
-  EXPECT_EQ(CurrentTrace(), nullptr);
-}
-
-TEST(SpanTest, RecordsAgainstTheCurrentTrace) {
-  TraceContext trace(TraceId::Generate());
-  {
-    TraceScope scope(&trace);
-    Span select("select");
-    Span nested("admission");
-  }
-  ASSERT_EQ(trace.spans().size(), 2u);
-  EXPECT_EQ(trace.spans()[0].name, "select");
-  EXPECT_EQ(trace.spans()[1].parent, 0);
-  // Both RAII spans closed in reverse order.
-  EXPECT_GE(trace.spans()[0].duration_seconds,
-            trace.spans()[1].duration_seconds);
-}
-
-TEST(SpanTest, IsANoOpWithoutACurrentTrace) {
-  ASSERT_EQ(CurrentTrace(), nullptr);
-  Span span("orphan");  // must not crash or record anywhere
-}
-
 // --- TraceRing -------------------------------------------------------------
 
 FinishedTrace MakeTrace(int n) {

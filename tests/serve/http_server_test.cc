@@ -12,19 +12,23 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "podium/datagen/generator.h"
 #include "podium/json/parser.h"
 #include "podium/obs/trace.h"
 #include "podium/serve/handlers.h"
 #include "podium/serve/service.h"
 #include "podium/telemetry/export.h"
 #include "podium/telemetry/telemetry.h"
+#include "podium/telemetry/trace.h"
 #include "tests/testing/table2.h"
 
 namespace podium::serve {
@@ -347,6 +351,28 @@ TEST_F(HttpServerTest, TracesEndpointReturnsRecordedSpanTrees) {
   }
   EXPECT_NE(std::find(names.begin(), names.end(), "select"), names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "run"), names.end());
+
+  // An unsharded miss runs Algorithm 1 inside "run": its greedy phases are
+  // spans of the request trace, each with "run" as an ancestor.
+  const json::Array& span_list = spans->AsArray();
+  const auto has_run_ancestor = [&](std::size_t index) {
+    int parent = static_cast<int>(
+        span_list[index].AsObject().Find("parent")->AsNumber());
+    while (parent >= 0) {
+      const json::Object& span =
+          span_list[static_cast<std::size_t>(parent)].AsObject();
+      if (span.Find("name")->AsString() == "run") return true;
+      parent = static_cast<int>(span.Find("parent")->AsNumber());
+    }
+    return false;
+  };
+  for (const char* phase : {"greedy.init", "greedy.rounds", "greedy.score"}) {
+    const auto it = std::find(names.begin(), names.end(), phase);
+    ASSERT_NE(it, names.end()) << phase;
+    EXPECT_TRUE(has_run_ancestor(
+        static_cast<std::size_t>(std::distance(names.begin(), it))))
+        << phase;
+  }
 }
 
 TEST_F(HttpServerTest, TracesEndpointRejectsBadLimit) {
@@ -645,6 +671,122 @@ TEST_F(HttpServerTest, IdleKeepAliveConnectionsDoNotHoldWorkers) {
     }
   }
   server->Stop();
+}
+
+TEST_F(HttpServerTest, HandlerExceptionIs500AndServerKeepsServing) {
+  obs::TraceRing::Global().Clear();
+  HttpServerOptions options;
+  options.port = 0;
+  options.worker_threads = 1;  // the worker that caught must serve again
+  HttpServer server(options, [](const HttpRequest& request) {
+    if (request.target == "/throw") throw std::runtime_error("boom");
+    HttpResponse response;
+    response.status = 200;
+    response.reason = "OK";
+    response.body = "ok";
+    return response;
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  HttpClient first;
+  ASSERT_TRUE(first.Connect("127.0.0.1", server.port()).ok());
+  HttpRequest request;
+  request.method = "GET";
+  request.target = "/throw";
+  Result<HttpResponse> failed = first.RoundTrip(request);
+  ASSERT_TRUE(failed.ok()) << failed.status();
+  EXPECT_EQ(failed->status, 500);
+  Result<json::Value> body = json::Parse(failed->body);
+  ASSERT_TRUE(body.ok()) << body.status();
+  EXPECT_EQ(body->AsObject().Find("error")->AsString(), "Internal");
+  EXPECT_EQ(telemetry::MetricsRegistry::Global()
+                .counter("serve.worker.exceptions")
+                .Value(),
+            1u);
+  const std::vector<obs::FinishedTrace> traces =
+      obs::TraceRing::Global().Snapshot(1);
+  ASSERT_EQ(traces.size(), 1u);
+  EXPECT_EQ(traces[0].path, "/throw");
+  EXPECT_EQ(traces[0].http_status, 500);
+
+  HttpClient second;
+  ASSERT_TRUE(second.Connect("127.0.0.1", server.port()).ok());
+  request.target = "/fine";
+  Result<HttpResponse> served = second.RoundTrip(request);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(served->status, 200);
+  server.Stop();
+}
+
+TEST_F(HttpServerTest, GreedyTraceStaysBoundedUnderManyMisses) {
+  // Enough uncached full-budget selections that their rounds overflow the
+  // greedy trace's capacity.
+  constexpr std::size_t kUsers = 1200;
+  datagen::DatasetConfig config = datagen::DatasetConfig::TripAdvisorLike();
+  config.num_users = kUsers;
+  config.seed = 7;
+  Result<datagen::Dataset> dataset = datagen::GenerateDataset(config);
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  Result<std::shared_ptr<const Snapshot>> snapshot = Snapshot::Build(
+      std::move(dataset->repository), SnapshotOptions{}, /*generation=*/1);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  ServiceOptions service_options;
+  service_options.cache_entries = 0;
+  SelectionService service(std::move(snapshot).value(), service_options);
+  HttpServerOptions http_options;
+  http_options.port = 0;
+  http_options.worker_threads = 2;
+  HttpServer server(http_options, MakeServiceHandler(service));
+  ASSERT_TRUE(server.Start().ok());
+
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  HttpRequest select;
+  select.method = "POST";
+  select.target = "/v1/select";
+  select.body = "{\"budget\": " + std::to_string(kUsers) + "}";
+  const std::size_t misses = telemetry::GreedyTrace::kCapacity / kUsers + 2;
+  for (std::size_t i = 0; i < misses; ++i) {
+    Result<HttpResponse> response = client.RoundTrip(select);
+    ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_EQ(response->status, 200) << response->body;
+    ASSERT_EQ(*response->FindHeader("X-Podium-Cache"), "miss");
+  }
+
+  // The full JSON export outgrows HttpClient's 4 MiB body limit; read it
+  // over a raw connection with a larger one.
+  const int fd = ConnectRaw(server.port());
+  HttpRequest scrape;
+  scrape.method = "GET";
+  scrape.target = "/metrics";
+  scrape.headers.emplace_back("Connection", "close");
+  ASSERT_TRUE(WriteAll(fd, SerializeRequest(scrape)).ok());
+  BufferedReader reader(fd);
+  HttpLimits limits;
+  limits.max_body_bytes = 256u << 20;
+  Result<HttpResponse> metrics = ReadHttpResponse(reader, limits);
+  ::close(fd);
+  ASSERT_TRUE(metrics.ok()) << metrics.status();
+  ASSERT_EQ(metrics->status, 200);
+  Result<json::Value> body = json::Parse(metrics->body);
+  ASSERT_TRUE(body.ok()) << body.status();
+  const json::Object& root = body->AsObject();
+
+  const double rounds = root.Find("counters")
+                            ->AsObject()
+                            .Find("greedy.rounds")
+                            ->AsNumber();
+  ASSERT_EQ(rounds, static_cast<double>(misses * kUsers));
+  const std::size_t retained = root.Find("greedy_trace")->AsArray().size();
+  EXPECT_EQ(retained, telemetry::GreedyTrace::kCapacity);
+  EXPECT_EQ(root.Find("greedy_trace_dropped")->AsNumber(),
+            rounds - static_cast<double>(retained));
+  const json::Object& gauges = root.Find("gauges")->AsObject();
+  EXPECT_EQ(gauges.Find("telemetry.greedy_trace.retained")->AsNumber(),
+            static_cast<double>(retained));
+  ASSERT_NE(gauges.Find("obs.trace_ring.retained"), nullptr);
+  EXPECT_GE(gauges.Find("obs.trace_ring.retained")->AsNumber(), 1.0);
+  server.Stop();
 }
 
 }  // namespace

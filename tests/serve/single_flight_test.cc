@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,6 +118,54 @@ TEST_F(SingleFlightTest, FollowersShareTheLeaderError) {
   EXPECT_FALSE(leader_outcome.shared);
   EXPECT_TRUE(follower_outcome.shared);
   EXPECT_EQ(follower_outcome.status.code(), StatusCode::kNotFound);
+}
+
+TEST_F(SingleFlightTest, ThrowingLeaderStillLandsItsFlight) {
+  SingleFlight flight;
+  std::atomic<std::size_t> joined{0};
+  flight.set_join_hook([&joined] { ++joined; });
+
+  // Same rendezvous as above, but the leader's compute throws: the
+  // exception reaches the leader's caller, the parked follower wakes with
+  // Internal, and the key is free for the next request.
+  std::atomic<bool> leader_running{false};
+  bool leader_threw = false;
+  SingleFlight::Outcome follower_outcome;
+  std::thread leader([&] {
+    try {
+      (void)flight.Do("key", [&]() -> Result<std::string> {
+        leader_running = true;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (joined.load() < 1 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        throw std::runtime_error("selection failed");
+      });
+    } catch (const std::runtime_error&) {
+      leader_threw = true;
+    }
+  });
+  std::thread follower([&] {
+    while (!leader_running.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    follower_outcome = flight.Do("key", [&]() -> Result<std::string> {
+      ADD_FAILURE() << "follower must not compute";
+      return std::string("computed-fresh");
+    });
+  });
+  leader.join();
+  follower.join();
+
+  EXPECT_TRUE(leader_threw);
+  EXPECT_TRUE(follower_outcome.shared);
+  EXPECT_EQ(follower_outcome.status.code(), StatusCode::kInternal);
+  const SingleFlight::Outcome after = flight.Do(
+      "key", [] { return Result<std::string>(std::string("fresh")); });
+  EXPECT_FALSE(after.shared);
+  EXPECT_EQ(after.value, "fresh");
 }
 
 TEST_F(SingleFlightTest, CompletedFlightsAreForgotten) {

@@ -102,14 +102,13 @@ TEST_F(TelemetryTest, SnapshotIsSortedByName) {
 
 TEST_F(TelemetryTest, NestedPhaseSpansRollUpUnderParent) {
   {
-    PhaseSpan outer("test.outer");
+    Span outer("test.outer");
     for (int i = 0; i < 2; ++i) {
-      PhaseSpan inner("test.inner");
+      Span inner("test.inner");
     }
-    EXPECT_GE(outer.ElapsedSeconds(), 0.0);
   }
   {
-    PhaseSpan outer("test.outer");  // same position: accumulates
+    Span outer("test.outer");  // same position: accumulates
   }
   const PhaseStats tree = PhaseTreeSnapshot();
   EXPECT_EQ(tree.name, "process");
@@ -126,7 +125,7 @@ TEST_F(TelemetryTest, NestedPhaseSpansRollUpUnderParent) {
 }
 
 TEST_F(TelemetryTest, ResetPrunesPhaseTreeSnapshot) {
-  { PhaseSpan span("test.reset"); }
+  { Span span("test.reset"); }
   ASSERT_NE(FindPhase(PhaseTreeSnapshot(), "test.reset"), nullptr);
   ResetPhaseTree();
   EXPECT_EQ(FindPhase(PhaseTreeSnapshot(), "test.reset"), nullptr);
@@ -134,10 +133,7 @@ TEST_F(TelemetryTest, ResetPrunesPhaseTreeSnapshot) {
 
 TEST_F(TelemetryTest, DisabledSpanRecordsNothing) {
   SetEnabled(false);
-  {
-    PhaseSpan span("test.disabled");
-    EXPECT_DOUBLE_EQ(span.ElapsedSeconds(), 0.0);
-  }
+  { Span span("test.disabled"); }
   SetEnabled(true);
   EXPECT_EQ(FindPhase(PhaseTreeSnapshot(), "test.disabled"), nullptr);
 }
@@ -204,6 +200,42 @@ TEST_F(TelemetryTest, TraceRunIdsDistinguishRuns) {
   EXPECT_NE(events[0].run, events[2].run);
 }
 
+TEST_F(TelemetryTest, GreedyTraceKeepsTheNewestCapacityEvents) {
+  // More than a capacity's worth, through both Record overloads: one
+  // batch larger than the ring, then single events.
+  constexpr std::size_t kSingles = 100;
+  constexpr std::size_t kTotal = GreedyTrace::kCapacity + 1000;
+  std::vector<GreedyRoundEvent> batch(kTotal - kSingles);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    batch[i].round = static_cast<std::uint32_t>(i);
+  }
+  GreedyTrace::Record(batch);
+  for (std::size_t i = batch.size(); i < kTotal; ++i) {
+    GreedyRoundEvent event;
+    event.round = static_cast<std::uint32_t>(i);
+    GreedyTrace::Record(event);
+  }
+
+  const std::vector<GreedyRoundEvent> events = GreedyTrace::Snapshot();
+  ASSERT_EQ(events.size(), GreedyTrace::kCapacity);
+  const std::size_t dropped = kTotal - GreedyTrace::kCapacity;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(events[i].round, dropped + i) << "at " << i;
+  }
+  auto& registry = MetricsRegistry::Global();
+  EXPECT_EQ(registry.counter("telemetry.greedy_trace.dropped").Value(),
+            dropped);
+  EXPECT_EQ(registry.gauge("telemetry.greedy_trace.retained").Value(),
+            static_cast<double>(GreedyTrace::kCapacity));
+  EXPECT_EQ(TelemetryToJson().AsObject().Find("greedy_trace_dropped")
+                ->AsNumber(),
+            static_cast<double>(dropped));
+
+  GreedyTrace::Clear();
+  EXPECT_TRUE(GreedyTrace::Snapshot().empty());
+  EXPECT_EQ(registry.gauge("telemetry.greedy_trace.retained").Value(), 0.0);
+}
+
 TEST_F(TelemetryTest, DisabledGreedyRecordsNoTrace) {
   SetEnabled(false);
   const DiversificationInstance instance = MakeInstance(2);
@@ -261,6 +293,9 @@ TEST_F(TelemetryTest, JsonExportMatchesDocumentedSchema) {
   }
   EXPECT_EQ(round0.Find("user")->AsNumber(),
             static_cast<double>(selection.users[0]));
+  const json::Value* dropped = object.Find("greedy_trace_dropped");
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(dropped->AsNumber(), 0.0);
 }
 
 TEST_F(TelemetryTest, JsonExportEscapesHostileMetricNames) {
