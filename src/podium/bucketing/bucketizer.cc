@@ -6,7 +6,6 @@
 #include "podium/bucketing/internal.h"
 #include "podium/telemetry/phase.h"
 #include "podium/telemetry/telemetry.h"
-#include "podium/util/math_util.h"
 
 namespace podium::bucketing {
 
@@ -128,11 +127,32 @@ Result<std::vector<Bucket>> QuantileBucketizer::Split(
   if (internal::Degenerate(values)) {
     return internal::BuildPartition({});
   }
-  std::sort(values.begin(), values.end());
+  // util::QuantileSorted's interpolation, reading the two order statistics
+  // it needs by selection instead of sorting: O(n) per cut, bit-identical.
+  // Quantiles ascend, so each nth_element only partitions the range right
+  // of the previous cut, and sorted[hi] is the minimum of [hi, n) once
+  // sorted[lo] sits in place.
+  const std::size_t n = values.size();
+  const auto at = [&values](std::size_t i) {
+    return values.begin() + static_cast<std::ptrdiff_t>(i);
+  };
   std::vector<double> breakpoints;
+  // values[settled - 1] is sorted[settled - 1]; values[settled, n) hold
+  // sorted[settled, n) in some order.
+  std::size_t settled = 0;
   for (int i = 1; i < max_buckets; ++i) {
-    breakpoints.push_back(util::QuantileSorted(
-        values, static_cast<double>(i) / static_cast<double>(max_buckets)));
+    const double pos = static_cast<double>(i) /
+                       static_cast<double>(max_buckets) *
+                       static_cast<double>(n - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, n - 1);
+    const double frac = pos - static_cast<double>(lo);
+    if (lo >= settled) {
+      std::nth_element(at(settled), at(lo), values.end());
+      settled = lo + 1;
+    }
+    const double upper = *std::min_element(at(hi), values.end());
+    breakpoints.push_back(values[lo] * (1.0 - frac) + upper * frac);
   }
   return internal::BuildPartition(std::move(breakpoints));
 }

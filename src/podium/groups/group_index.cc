@@ -18,6 +18,74 @@ namespace {
 /// a chunk needs a few hundred users to amortize dispatch.
 constexpr std::size_t kUserGrain = 256;
 
+/// Lists every slot's members, ascending by user id. A first pass over
+/// user chunks records each user's slots in order and counts them per
+/// (chunk, slot); each slot's list is then allocated at its exact size,
+/// and a second pass writes every chunk's users at that chunk's offset
+/// in it. A chunk keeps three flat arrays instead of one list per slot:
+/// with 64 chunks and ~10k slots, allocating and freeing those lists
+/// cost a quarter of a `custom` build.
+std::vector<std::vector<UserId>> AssignMembers(
+    const ProfileRepository& repository, const GroupSlots& slots) {
+  telemetry::Span span("group_index.members");
+  const std::size_t num_users = repository.user_count();
+  const std::size_t num_slots = slots.defs.size();
+  const std::size_t num_chunks =
+      util::PlanChunks(num_users, kUserGrain).num_chunks;
+  std::vector<std::vector<GroupId>> chunk_slots(num_chunks);
+  std::vector<std::vector<std::uint32_t>> chunk_degrees(num_chunks);
+  // Per slot: the chunk's member count, then its offset in the slot list.
+  std::vector<std::vector<std::uint32_t>> chunk_counts(num_chunks);
+  util::ParallelFor(
+      "group_index.assign", num_users,
+      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+        std::vector<GroupId>& ids = chunk_slots[chunk];
+        chunk_degrees[chunk].resize(end - begin);
+        chunk_counts[chunk].resize(num_slots);
+        for (UserId u = begin; u < end; ++u) {
+          const std::size_t before = ids.size();
+          for (const PropertyScore& entry : repository.user(u).entries()) {
+            const GroupId slot = slots.SlotOf(entry);
+            if (slot == kInvalidGroup) continue;
+            ids.push_back(slot);
+            ++chunk_counts[chunk][slot];
+          }
+          chunk_degrees[chunk][u - begin] =
+              static_cast<std::uint32_t>(ids.size() - before);
+        }
+      },
+      kUserGrain);
+  std::vector<std::vector<UserId>> members(num_slots);
+  util::ParallelFor(
+      "group_index.gather", num_slots,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t slot = begin; slot < end; ++slot) {
+          std::uint32_t total = 0;
+          for (auto& counts : chunk_counts) {
+            const std::uint32_t count = counts[slot];
+            counts[slot] = total;
+            total += count;
+          }
+          members[slot].resize(total);
+        }
+      },
+      16);
+  util::ParallelFor(
+      "group_index.scatter", num_users,
+      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+        const GroupId* slot = chunk_slots[chunk].data();
+        std::vector<std::uint32_t>& cursor = chunk_counts[chunk];
+        for (UserId u = begin; u < end; ++u) {
+          for (std::uint32_t k = chunk_degrees[chunk][u - begin]; k > 0;
+               --k, ++slot) {
+            members[*slot][cursor[*slot]++] = u;
+          }
+        }
+      },
+      kUserGrain);
+  return members;
+}
+
 }  // namespace
 
 std::string MakeGroupLabel(const PropertyTable& table, PropertyId property,
@@ -29,9 +97,122 @@ std::string MakeGroupLabel(const PropertyTable& table, PropertyId property,
   return bucket.label + " " + property_label;
 }
 
+Result<GroupSlots> DeriveGroupSlots(const ProfileRepository& repository,
+                                    const GroupingOptions& options,
+                                    std::string_view phase) {
+  Result<std::unique_ptr<bucketing::Bucketizer>> bucketizer =
+      bucketing::MakeBucketizer(options.bucket_method);
+  if (!bucketizer.ok()) return bucketizer.status();
+  if (options.max_buckets < 1) {
+    return Status::InvalidArgument("max_buckets must be >= 1");
+  }
+  const std::string name(phase);
+  telemetry::Span span(name + ".slots");
+  const PropertyTable& table = repository.properties();
+  const std::size_t num_properties = table.size();
+  const std::size_t num_users = repository.user_count();
+
+  // Collect observed scores per property: chunked over users into
+  // per-chunk slices, then concatenated per property in chunk order, so
+  // each property's scores come out in ascending user order.
+  std::vector<std::vector<std::vector<double>>> chunk_scores(
+      util::PlanChunks(num_users, kUserGrain).num_chunks);
+  util::ParallelFor(
+      name + ".collect", num_users,
+      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+        auto& local = chunk_scores[chunk];
+        local.resize(num_properties);
+        for (UserId u = begin; u < end; ++u) {
+          for (const PropertyScore& entry : repository.user(u).entries()) {
+            local[entry.property].push_back(entry.score);
+          }
+        }
+      },
+      kUserGrain);
+  std::vector<std::vector<double>> scores(num_properties);
+  util::ParallelFor(
+      name + ".merge", num_properties,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (PropertyId p = begin; p < end; ++p) {
+          std::size_t total = 0;
+          for (const auto& local : chunk_scores) total += local[p].size();
+          scores[p].reserve(total);
+          for (const auto& local : chunk_scores) {
+            scores[p].insert(scores[p].end(), local[p].begin(),
+                             local[p].end());
+          }
+        }
+      },
+      16);
+  chunk_scores.clear();
+  chunk_scores.shrink_to_fit();
+
+  auto passes_filter = [&options, &table](PropertyId p) {
+    if (options.property_filters.empty()) return true;
+    const std::string& label = table.Label(p);
+    for (const std::string& filter : options.property_filters) {
+      if (label.find(filter) != std::string::npos) return true;
+    }
+    return false;
+  };
+
+  // Bucket the properties in parallel. Bucketizers are stateless (k-means
+  // seeding is fixed), so a per-chunk instance splits identically to a
+  // shared one; errors land in per-property slots and the first one in
+  // property order is returned, matching a serial early exit. Each
+  // property's scores are moved into its split: nothing reads them after.
+  GroupSlots slots;
+  slots.buckets_per_property.resize(num_properties);
+  std::vector<Status> bucket_errors(num_properties);
+  util::ParallelFor(
+      name + ".bucketize", num_properties,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        const auto local_bucketizer =
+            bucketing::MakeBucketizer(options.bucket_method);
+        for (PropertyId p = begin; p < end; ++p) {
+          if (scores[p].empty() || !passes_filter(p)) continue;
+          if (table.Kind(p) == PropertyKind::kBoolean) {
+            slots.buckets_per_property[p] = bucketing::FixedBooleanBuckets();
+            continue;
+          }
+          Result<std::vector<bucketing::Bucket>> split =
+              local_bucketizer.value()->Split(std::move(scores[p]),
+                                              options.max_buckets);
+          if (!split.ok()) {
+            bucket_errors[p] = split.status();
+            continue;
+          }
+          slots.buckets_per_property[p] = std::move(split).value();
+        }
+      },
+      4);
+  for (PropertyId p = 0; p < num_properties; ++p) {
+    if (!bucket_errors[p].ok()) return bucket_errors[p];
+  }
+
+  // Slots are numbered serially in (property, bucket) order.
+  slots.slot_of.resize(num_properties);
+  for (PropertyId p = 0; p < num_properties; ++p) {
+    const auto& buckets = slots.buckets_per_property[p];
+    slots.slot_of[p].assign(buckets.size(), kInvalidGroup);
+    for (std::size_t b = 0; b < buckets.size(); ++b) {
+      if (!options.include_boolean_false_groups &&
+          table.Kind(p) == PropertyKind::kBoolean &&
+          buckets[b].label == "false") {
+        continue;
+      }
+      slots.slot_of[p][b] = static_cast<GroupId>(slots.defs.size());
+      slots.defs.push_back(
+          GroupDef{p, buckets[b], MakeGroupLabel(table, p, buckets[b])});
+    }
+  }
+  return slots;
+}
+
 Status GroupIndex::FinalizeAdjacency(
     const std::vector<std::vector<UserId>>& members,
     const std::vector<bool>& keep, std::size_t num_users) {
+  telemetry::Span span("group_index.finalize");
   std::size_t kept = 0;
   std::size_t links = 0;
   for (std::size_t slot = 0; slot < members.size(); ++slot) {
@@ -58,35 +239,66 @@ Status GroupIndex::FinalizeAdjacency(
       arena_->AllocateSpan<std::uint32_t>(num_users + 1);
   const std::span<GroupId> user_values = arena_->AllocateSpan<GroupId>(links);
 
-  // Single pass over the kept lists: flatten the member direction and
-  // count user degrees (into user_offsets, shifted by one) as each link
-  // streams through.
-  std::uint32_t cursor = 0;
-  std::size_t row = 0;
+  // Member direction: the kept lists in slot order, copied row by row.
+  std::vector<const std::vector<UserId>*> rows;
+  rows.reserve(kept);
   for (std::size_t slot = 0; slot < members.size(); ++slot) {
     if (!keep[slot]) continue;
-    for (UserId u : members[slot]) {
-      member_values[cursor++] = u;
-      ++user_offsets[u + 1];
-    }
-    member_offsets[++row] = cursor;
+    member_offsets[rows.size() + 1] = static_cast<std::uint32_t>(
+        member_offsets[rows.size()] + members[slot].size());
+    rows.push_back(&members[slot]);
   }
+  util::ParallelFor(
+      "group_index.flatten", kept,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t g = begin; g < end; ++g) {
+          std::copy(rows[g]->begin(), rows[g]->end(),
+                    member_values.begin() + member_offsets[g]);
+        }
+      },
+      16);
 
-  // Reverse direction: prefix-sum the degrees, then fill. Kept groups are
-  // visited in ascending id order, so each user's group list comes out
-  // ascending.
-  for (std::size_t u = 1; u <= num_users; ++u) {
-    user_offsets[u] += user_offsets[u - 1];
-  }
-  std::vector<std::uint32_t> fill_cursor(user_offsets.begin(),
-                                         user_offsets.end() - 1);
-  for (std::size_t g = 0; g < kept; ++g) {
-    for (std::uint32_t i = member_offsets[g]; i < member_offsets[g + 1];
-         ++i) {
-      user_values[fill_cursor[member_values[i]]++] =
-          static_cast<GroupId>(g);
-    }
-  }
+  // Reverse direction, chunked over user ids. A chunk finds each group's
+  // first member >= begin; the links before those positions belong to
+  // earlier users, so their count is where the chunk's rows start. It
+  // then walks each group's span up to end twice: once counting its users'
+  // degrees, once filling their rows. Chunks write disjoint rows, each row
+  // ascends by group id, and the arrays are the same at any thread count.
+  user_offsets[num_users] = static_cast<std::uint32_t>(links);
+  util::ParallelFor(
+      "group_index.reverse", num_users,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        std::vector<std::uint32_t> first(kept);
+        std::uint32_t row_start = 0;
+        for (std::size_t g = 0; g < kept; ++g) {
+          first[g] = static_cast<std::uint32_t>(
+              std::lower_bound(member_values.begin() + member_offsets[g],
+                               member_values.begin() + member_offsets[g + 1],
+                               begin) -
+              member_values.begin());
+          row_start += first[g] - member_offsets[g];
+        }
+        const auto for_each_link = [&](const auto& visit) {
+          for (std::size_t g = 0; g < kept; ++g) {
+            for (std::uint32_t i = first[g];
+                 i < member_offsets[g + 1] && member_values[i] < end; ++i) {
+              visit(static_cast<GroupId>(g), member_values[i]);
+            }
+          }
+        };
+        for_each_link([&](GroupId, UserId u) { ++user_offsets[u]; });
+        for (std::size_t u = begin; u < end; ++u) {
+          const std::uint32_t degree = user_offsets[u];
+          user_offsets[u] = row_start;
+          row_start += degree;
+        }
+        std::vector<std::uint32_t> cursor(user_offsets.begin() + begin,
+                                          user_offsets.begin() + end);
+        for_each_link([&](GroupId g, UserId u) {
+          user_values[cursor[u - begin]++] = g;
+        });
+      },
+      kUserGrain);
 
   member_offsets_ = member_offsets;
   member_values_ = member_values;
@@ -98,167 +310,24 @@ Status GroupIndex::FinalizeAdjacency(
 Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
                                      const GroupingOptions& options) {
   telemetry::Span span("group_index.build");
-  Result<std::unique_ptr<bucketing::Bucketizer>> bucketizer =
-      bucketing::MakeBucketizer(options.bucket_method);
-  if (!bucketizer.ok()) return bucketizer.status();
-  if (options.max_buckets < 1) {
-    return Status::InvalidArgument("max_buckets must be >= 1");
-  }
-
-  const PropertyTable& table = repository.properties();
-  const std::size_t num_properties = table.size();
+  Result<GroupSlots> slots =
+      DeriveGroupSlots(repository, options, "group_index");
+  if (!slots.ok()) return slots.status();
   const std::size_t num_users = repository.user_count();
+  const std::size_t num_slots = slots->defs.size();
 
-  // Collect observed scores per property: chunked over users into
-  // per-chunk slices, then concatenated per property in chunk order —
-  // identical to the old single pass in ascending user order.
-  const util::ChunkPlan user_plan = util::PlanChunks(num_users, kUserGrain);
-  std::vector<std::vector<std::vector<double>>> chunk_scores(
-      user_plan.num_chunks);
-  util::ParallelFor(
-      "group_index.collect", num_users,
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        auto& local = chunk_scores[chunk];
-        local.resize(num_properties);
-        for (UserId u = begin; u < end; ++u) {
-          for (const PropertyScore& entry : repository.user(u).entries()) {
-            local[entry.property].push_back(entry.score);
-          }
-        }
-      },
-      kUserGrain);
-  std::vector<std::vector<double>> scores(num_properties);
-  util::ParallelFor(
-      "group_index.merge", num_properties,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (PropertyId p = begin; p < end; ++p) {
-          std::size_t total = 0;
-          for (const auto& local : chunk_scores) total += local[p].size();
-          scores[p].reserve(total);
-          for (const auto& local : chunk_scores) {
-            scores[p].insert(scores[p].end(), local[p].begin(),
-                             local[p].end());
-          }
-        }
-      },
-      16);
-  chunk_scores.clear();
-  chunk_scores.shrink_to_fit();
-
-  GroupIndex index;
-  index.buckets_per_property_.resize(num_properties);
-
-  auto passes_filter = [&options, &table](PropertyId p) {
-    if (options.property_filters.empty()) return true;
-    const std::string& label = table.Label(p);
-    for (const std::string& filter : options.property_filters) {
-      if (label.find(filter) != std::string::npos) return true;
-    }
-    return false;
-  };
-
-  // Bucket the properties in parallel. Bucketizers are stateless (k-means
-  // seeding is fixed), so a per-chunk instance splits identically to the
-  // old shared one; errors land in per-property slots and the first one in
-  // property order is returned, matching the serial early-exit.
-  std::vector<Status> bucket_errors(num_properties);
-  util::ParallelFor(
-      "group_index.bucketize", num_properties,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        const auto local_bucketizer =
-            bucketing::MakeBucketizer(options.bucket_method);
-        for (PropertyId p = begin; p < end; ++p) {
-          if (scores[p].empty() || !passes_filter(p)) continue;
-          if (table.Kind(p) == PropertyKind::kBoolean) {
-            index.buckets_per_property_[p] = bucketing::FixedBooleanBuckets();
-            continue;
-          }
-          Result<std::vector<bucketing::Bucket>> split =
-              local_bucketizer.value()->Split(scores[p], options.max_buckets);
-          if (!split.ok()) {
-            bucket_errors[p] = split.status();
-            continue;
-          }
-          index.buckets_per_property_[p] = std::move(split).value();
-        }
-      },
-      4);
-  for (PropertyId p = 0; p < num_properties; ++p) {
-    if (!bucket_errors[p].ok()) return bucket_errors[p];
-  }
-
-  // Provisional group ids are assigned serially in (property, bucket)
-  // order; `slot_of[p][b]` is the id of property p's bucket-b group, or
-  // kInvalidGroup when the bucket was skipped.
-  std::vector<std::vector<GroupId>> slot_of(num_properties);
-  std::vector<GroupDef> provisional_defs;
-  for (PropertyId p = 0; p < num_properties; ++p) {
-    const auto& buckets = index.buckets_per_property_[p];
-    if (buckets.empty()) continue;
-    slot_of[p].assign(buckets.size(), kInvalidGroup);
-    for (std::size_t b = 0; b < buckets.size(); ++b) {
-      if (!options.include_boolean_false_groups &&
-          table.Kind(p) == PropertyKind::kBoolean &&
-          buckets[b].label == "false") {
-        continue;
-      }
-      slot_of[p][b] = static_cast<GroupId>(provisional_defs.size());
-      provisional_defs.push_back(
-          GroupDef{p, buckets[b], MakeGroupLabel(table, p, buckets[b])});
-    }
-  }
-
-  // Assign every (user, property, score) entry to its bucket's group:
-  // chunked over users into per-chunk per-slot lists, then merged per slot
-  // in chunk order — ascending user id, as the old single pass produced.
-  const std::size_t num_slots = provisional_defs.size();
-  std::vector<std::vector<std::vector<UserId>>> chunk_members(
-      user_plan.num_chunks);
-  util::ParallelFor(
-      "group_index.assign", num_users,
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        auto& local = chunk_members[chunk];
-        local.resize(num_slots);
-        for (UserId u = begin; u < end; ++u) {
-          for (const PropertyScore& entry : repository.user(u).entries()) {
-            const auto& buckets = index.buckets_per_property_[entry.property];
-            if (buckets.empty()) continue;
-            const int b = bucketing::FindBucket(buckets, entry.score);
-            if (b < 0) continue;  // unreachable for valid partitions
-            const GroupId slot =
-                slot_of[entry.property][static_cast<std::size_t>(b)];
-            if (slot == kInvalidGroup) continue;
-            local[slot].push_back(u);
-          }
-        }
-      },
-      kUserGrain);
-  std::vector<std::vector<UserId>> provisional_members(num_slots);
-  util::ParallelFor(
-      "group_index.gather", num_slots,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t slot = begin; slot < end; ++slot) {
-          std::size_t total = 0;
-          for (const auto& local : chunk_members) total += local[slot].size();
-          provisional_members[slot].reserve(total);
-          for (const auto& local : chunk_members) {
-            provisional_members[slot].insert(provisional_members[slot].end(),
-                                             local[slot].begin(),
-                                             local[slot].end());
-          }
-        }
-      },
-      16);
-  chunk_members.clear();
-  chunk_members.shrink_to_fit();
+  std::vector<std::vector<UserId>> provisional_members =
+      AssignMembers(repository, *slots);
 
   // Compact away empty / undersized groups and flatten both directions.
+  GroupIndex index;
+  index.buckets_per_property_ = std::move(slots->buckets_per_property);
   const std::size_t min_size = std::max<std::size_t>(options.min_group_size, 1);
   std::vector<bool> keep(num_slots, false);
   for (std::size_t slot = 0; slot < num_slots; ++slot) {
     if (provisional_members[slot].size() < min_size) continue;
     keep[slot] = true;
-    index.defs_.push_back(std::move(provisional_defs[slot]));
+    index.defs_.push_back(std::move(slots->defs[slot]));
   }
   if (Status s = index.FinalizeAdjacency(provisional_members, keep, num_users);
       !s.ok()) {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "podium/bucketing/bucketizer.h"
@@ -53,6 +54,49 @@ struct GroupingOptions {
 std::string MakeGroupLabel(const PropertyTable& table, PropertyId property,
                            const bucketing::Bucket& bucket);
 
+/// The group a profile entry falls in: its bucket under
+/// `buckets_per_property[p]`, mapped through `group_of_bucket[p][b]`.
+/// kInvalidGroup when the property is unbucketed or its bucket has no
+/// group.
+inline GroupId GroupOfEntry(
+    const std::vector<std::vector<bucketing::Bucket>>& buckets_per_property,
+    const std::vector<std::vector<GroupId>>& group_of_bucket,
+    const PropertyScore& entry) {
+  const std::vector<bucketing::Bucket>& buckets =
+      buckets_per_property[entry.property];
+  if (buckets.empty()) return kInvalidGroup;
+  const int b = bucketing::FindBucket(buckets, entry.score);
+  if (b < 0) return kInvalidGroup;  // unreachable for valid partitions
+  return group_of_bucket[entry.property][static_cast<std::size_t>(b)];
+}
+
+/// The candidate groups of a repository before any user is assigned: β(p)
+/// per property and one provisional slot per kept (property, bucket) pair,
+/// numbered in (property, bucket) order.
+struct GroupSlots {
+  /// β(p) per property (empty for unbucketed properties).
+  std::vector<std::vector<bucketing::Bucket>> buckets_per_property;
+  /// slot_of[p][b] = slot of property p's bucket-b group, or kInvalidGroup
+  /// when the bucket yields no group (a boolean "false" side left out).
+  std::vector<std::vector<GroupId>> slot_of;
+  /// Definitions in slot order.
+  std::vector<GroupDef> defs;
+
+  /// Slot of the group `entry` falls in, or kInvalidGroup.
+  GroupId SlotOf(const PropertyScore& entry) const {
+    return GroupOfEntry(buckets_per_property, slot_of, entry);
+  }
+};
+
+/// The build pipeline GroupIndex::Build and shard::BuildGroupScheme share:
+/// collect every property's observed scores (chunked over users, merged in
+/// ascending user order), bucketize the properties in parallel, then number
+/// the slots. `phase` prefixes the loops' telemetry names
+/// ("<phase>.collect", "<phase>.merge", "<phase>.bucketize").
+Result<GroupSlots> DeriveGroupSlots(const ProfileRepository& repository,
+                                    const GroupingOptions& options,
+                                    std::string_view phase);
+
 /// The set of simple groups 𝒢 over a repository plus the bidirectional
 /// user ↔ group adjacency that Algorithm 1's data-structure section calls
 /// for ("links in both directions between the lists").
@@ -62,7 +106,7 @@ std::string MakeGroupLabel(const PropertyTable& table, PropertyId property,
 /// the retirement inner loop walks cache-line-dense spans instead of
 /// chasing per-group vector headers. All four CSR arrays live in ONE
 /// 64-byte-aligned util::Arena block (offsets, values, both directions),
-/// filled in a single pass by FinalizeAdjacency — a whole index is one
+/// filled by FinalizeAdjacency — a whole index is one
 /// contiguous allocation, and the arena's guard bytes license the SIMD
 /// flag gathers in core/kernels.h over member spans. Accessors hand out
 /// spans; call sites that only iterate are unaffected.

@@ -1,5 +1,10 @@
 #include "podium/serve/handlers.h"
 
+#include <unistd.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <fstream>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -95,12 +100,44 @@ HttpResponse HandleHealthz(SelectionService& service) {
                       json::Write(json::Value(std::move(root))) + "\n");
 }
 
+/// Greedy round events a default JSON scrape carries (the newest ones).
+/// At the ring's 65,536-event cap the whole ring serializes to ~11 MB per
+/// scrape; `?greedy_trace=all` still returns all of it.
+constexpr std::size_t kScrapeGreedyEvents = 256;
+
+/// Sets process.resident_bytes from /proc/self/statm (resident pages, its
+/// second field); left unset where that file does not exist.
+void SampleResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t size_pages = 0;
+  std::uint64_t resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) return;
+  const long page_bytes = ::sysconf(_SC_PAGESIZE);
+  if (page_bytes <= 0) return;
+  telemetry::MetricsRegistry::Global()
+      .gauge("process.resident_bytes")
+      .Set(static_cast<double>(resident_pages) *
+           static_cast<double>(page_bytes));
+}
+
 HttpResponse HandleMetrics(std::string_view query) {
   // Sampled at scrape time, beside telemetry.greedy_trace.retained: every
-  // process-wide buffer exports its size.
+  // process-wide buffer exports its size, and the process its RSS.
   telemetry::MetricsRegistry::Global()
       .gauge("obs.trace_ring.retained")
       .Set(static_cast<double>(obs::TraceRing::Global().size()));
+  SampleResidentBytes();
+  std::size_t greedy_events = kScrapeGreedyEvents;
+  if (const std::optional<std::string_view> trace =
+          QueryParam(query, "greedy_trace");
+      trace.has_value()) {
+    if (*trace != "all") {
+      return ErrorResponse(Status::InvalidArgument(
+          "unknown greedy_trace '" + std::string(*trace) +
+          "' (expected all)"));
+    }
+    greedy_events = telemetry::GreedyTrace::kCapacity;
+  }
   if (const std::optional<std::string_view> format =
           QueryParam(query, "format");
       format.has_value()) {
@@ -123,7 +160,8 @@ HttpResponse HandleMetrics(std::string_view query) {
   json::WriteOptions options;
   options.indent = 2;
   return JsonResponse(
-      200, "OK", json::Write(telemetry::TelemetryToJson(), options) + "\n");
+      200, "OK",
+      json::Write(telemetry::TelemetryToJson(greedy_events), options) + "\n");
 }
 
 json::Value SpanToJson(const telemetry::TraceSpan& span) {

@@ -19,11 +19,11 @@ namespace podium::shard {
 /// against this scheme's group-id space, so the 2^32-links-per-arena CSR
 /// ceiling applies per shard instead of to the whole population.
 ///
-/// BuildGroupScheme mirrors GroupIndex::Build phase for phase (collect →
-/// bucketize → provisional ids → count → prune) minus member-list
-/// materialization, so defs_, ordering, and pruning are identical to what
-/// the single-snapshot engine derives; podium_check's K=1 byte-identity
-/// sweep guards the mirror against drift.
+/// BuildGroupScheme runs the same DeriveGroupSlots pipeline as
+/// GroupIndex::Build, then counts members per slot instead of listing them
+/// and prunes as Build does, so defs, ordering and pruning are identical to
+/// what the single-snapshot engine derives; podium_check's K=1
+/// byte-identity sweep guards the two callers against drift.
 struct GroupScheme {
   /// Group definitions in global id order (== GroupIndex::Build's order).
   std::vector<GroupDef> defs;

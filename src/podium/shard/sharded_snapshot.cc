@@ -23,13 +23,16 @@ Status BuildShard(const ProfileRepository& repository,
 
   // Sub-repository under the SAME PropertyTable (ids must line up with
   // the scheme's); local ids are positions in the ascending global list.
-  out->repository.properties() = repository.properties();
-  for (UserId local = 0; local < n_local; ++local) {
-    const UserProfile& source = repository.user(out->global_ids[local]);
-    Result<UserId> added = out->repository.AddUser(source.name());
-    if (!added.ok()) return added.status();
-    out->repository.mutable_user(added.value())
-        .ReplaceEntries(source.entries());
+  {
+    telemetry::Span copy_span("shard.build.copy");
+    out->repository.properties() = repository.properties();
+    for (UserId local = 0; local < n_local; ++local) {
+      const UserProfile& source = repository.user(out->global_ids[local]);
+      Result<UserId> added = out->repository.AddUser(source.name());
+      if (!added.ok()) return added.status();
+      out->repository.mutable_user(added.value())
+          .ReplaceEntries(source.entries());
+    }
   }
 
   // Local member lists per GLOBAL group id — the same entry → bucket →
@@ -37,22 +40,22 @@ Status BuildShard(const ProfileRepository& repository,
   // shard's users. Locally-empty groups stay (FromMembership keeps them),
   // preserving the shared id space.
   std::vector<std::vector<UserId>> members(scheme.group_count());
-  for (UserId local = 0; local < n_local; ++local) {
-    for (const PropertyScore& entry :
-         out->repository.user(local).entries()) {
-      const auto& buckets = scheme.buckets_per_property[entry.property];
-      if (buckets.empty()) continue;
-      const int b = bucketing::FindBucket(buckets, entry.score);
-      if (b < 0) continue;
-      const GroupId g =
-          scheme.group_of_bucket[entry.property][static_cast<std::size_t>(b)];
-      if (g == kInvalidGroup) continue;
-      members[g].push_back(local);
+  {
+    telemetry::Span assign_span("shard.build.assign");
+    for (UserId local = 0; local < n_local; ++local) {
+      for (const PropertyScore& entry :
+           out->repository.user(local).entries()) {
+        const GroupId g = GroupOfEntry(scheme.buckets_per_property,
+                                       scheme.group_of_bucket, entry);
+        if (g != kInvalidGroup) members[g].push_back(local);
+      }
     }
   }
 
-  Result<GroupIndex> index =
-      GroupIndex::FromMembership(scheme.defs, members, n_local);
+  Result<GroupIndex> index = [&] {
+    telemetry::Span finalize_span("shard.build.finalize");
+    return GroupIndex::FromMembership(scheme.defs, members, n_local);
+  }();
   if (!index.ok()) return index.status();
 
   Result<DiversificationInstance> instance =

@@ -72,7 +72,7 @@ void RenderPhase(const PhaseStats& node, int depth, double parent_seconds,
 
 }  // namespace
 
-json::Value TelemetryToJson() {
+json::Value TelemetryToJson(std::size_t greedy_trace_limit) {
   const MetricsSnapshot metrics = MetricsRegistry::Global().Snapshot();
 
   json::Object root;
@@ -102,7 +102,8 @@ json::Value TelemetryToJson() {
   root.Set("phases", PhaseToJson(PhaseTreeSnapshot()));
 
   json::Array trace;
-  for (const GreedyRoundEvent& event : GreedyTrace::Snapshot()) {
+  for (const GreedyRoundEvent& event :
+       GreedyTrace::Snapshot(greedy_trace_limit)) {
     trace.push_back(TraceEventToJson(event));
   }
   root.Set("greedy_trace", json::Value(std::move(trace)));

@@ -1,9 +1,11 @@
 #ifndef PODIUM_TELEMETRY_EXPORT_H_
 #define PODIUM_TELEMETRY_EXPORT_H_
 
+#include <cstddef>
 #include <string>
 
 #include "podium/json/value.h"
+#include "podium/telemetry/trace.h"
 #include "podium/util/status.h"
 
 namespace podium::telemetry {
@@ -30,9 +32,14 @@ inline constexpr int kTelemetrySchemaVersion = 2;
 ///                     "retired_groups": 2}, ...],
 ///   "greedy_trace_dropped": 0  // events evicted past GreedyTrace::kCapacity
 /// }
-json::Value TelemetryToJson();
+///
+/// "greedy_trace" holds the newest `greedy_trace_limit` retained events;
+/// the default is the whole ring.
+json::Value TelemetryToJson(
+    std::size_t greedy_trace_limit = GreedyTrace::kCapacity);
 
-/// Writes TelemetryToJson() to `path`, pretty-printed.
+/// Writes TelemetryToJson() (the whole greedy ring) to `path`,
+/// pretty-printed.
 Status WriteTelemetryJson(const std::string& path);
 
 /// Human-readable timing summary: the phase tree with per-node totals and

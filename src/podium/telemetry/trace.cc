@@ -51,9 +51,11 @@ void GreedyTrace::Record(const std::vector<GreedyRoundEvent>& events) {
   retained.Set(static_cast<double>(buffer.size()));
 }
 
-std::vector<GreedyRoundEvent> GreedyTrace::Snapshot() {
+std::vector<GreedyRoundEvent> GreedyTrace::Snapshot(std::size_t limit) {
   util::MutexLock lock(g_trace_mutex);
-  return {Events().begin(), Events().end()};
+  const std::deque<GreedyRoundEvent>& buffer = Events();
+  const std::size_t skip = buffer.size() > limit ? buffer.size() - limit : 0;
+  return {buffer.begin() + static_cast<std::ptrdiff_t>(skip), buffer.end()};
 }
 
 void GreedyTrace::Clear() {

@@ -47,8 +47,9 @@ class GreedyTrace {
   static void Record(const GreedyRoundEvent& event);
   static void Record(const std::vector<GreedyRoundEvent>& events);
 
-  /// The retained events, oldest first.
-  static std::vector<GreedyRoundEvent> Snapshot();
+  /// The newest `limit` retained events (all of them by default), oldest
+  /// first.
+  static std::vector<GreedyRoundEvent> Snapshot(std::size_t limit = kCapacity);
   static void Clear();
 };
 

@@ -753,12 +753,12 @@ TEST_F(HttpServerTest, GreedyTraceStaysBoundedUnderManyMisses) {
     ASSERT_EQ(*response->FindHeader("X-Podium-Cache"), "miss");
   }
 
-  // The full JSON export outgrows HttpClient's 4 MiB body limit; read it
-  // over a raw connection with a larger one.
+  // The whole ring (?greedy_trace=all) outgrows HttpClient's 4 MiB body
+  // limit; read it over a raw connection with a larger one.
   const int fd = ConnectRaw(server.port());
   HttpRequest scrape;
   scrape.method = "GET";
-  scrape.target = "/metrics";
+  scrape.target = "/metrics?greedy_trace=all";
   scrape.headers.emplace_back("Connection", "close");
   ASSERT_TRUE(WriteAll(fd, SerializeRequest(scrape)).ok());
   BufferedReader reader(fd);
@@ -786,7 +786,52 @@ TEST_F(HttpServerTest, GreedyTraceStaysBoundedUnderManyMisses) {
             static_cast<double>(retained));
   ASSERT_NE(gauges.Find("obs.trace_ring.retained"), nullptr);
   EXPECT_GE(gauges.Find("obs.trace_ring.retained")->AsNumber(), 1.0);
+
+  // A default scrape carries only the newest events, and the same count
+  // of evictions.
+  HttpRequest bounded;
+  bounded.method = "GET";
+  bounded.target = "/metrics";
+  Result<HttpResponse> small = client.RoundTrip(bounded);
+  ASSERT_TRUE(small.ok()) << small.status();
+  ASSERT_EQ(small->status, 200);
+  EXPECT_LT(small->body.size(), metrics->body.size() / 100);
+  Result<json::Value> small_body = json::Parse(small->body);
+  ASSERT_TRUE(small_body.ok()) << small_body.status();
+  const json::Array& newest =
+      small_body->AsObject().Find("greedy_trace")->AsArray();
+  ASSERT_EQ(newest.size(), 256u);
+  EXPECT_EQ(newest.back().AsObject().Find("round")->AsNumber(),
+            static_cast<double>(kUsers - 1));
+  EXPECT_EQ(small_body->AsObject().Find("greedy_trace_dropped")->AsNumber(),
+            rounds - static_cast<double>(retained));
+  bounded.target = "/metrics?greedy_trace=some";
+  Result<HttpResponse> rejected = client.RoundTrip(bounded);
+  ASSERT_TRUE(rejected.ok()) << rejected.status();
+  EXPECT_EQ(rejected->status, 400);
   server.Stop();
+}
+
+TEST_F(HttpServerTest, MetricsReportResidentBytes) {
+#ifndef __linux__
+  GTEST_SKIP() << "process.resident_bytes is read from /proc/self/statm";
+#endif
+  HttpClient client;
+  const HttpResponse response = RoundTrip(client, "GET", "/metrics");
+  ASSERT_EQ(response.status, 200);
+  Result<json::Value> body = json::Parse(response.body);
+  ASSERT_TRUE(body.ok()) << body.status();
+  const json::Value* resident =
+      body->AsObject().Find("gauges")->AsObject().Find(
+          "process.resident_bytes");
+  ASSERT_NE(resident, nullptr);
+  EXPECT_GT(resident->AsNumber(), 0.0);
+
+  const HttpResponse text =
+      RoundTrip(client, "GET", "/metrics?format=prometheus");
+  ASSERT_EQ(text.status, 200);
+  EXPECT_NE(text.body.find("\nprocess_resident_bytes "), std::string::npos)
+      << text.body;
 }
 
 }  // namespace
