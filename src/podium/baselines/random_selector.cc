@@ -13,7 +13,7 @@ Result<Selection> RandomSelector::Select(
   util::Rng rng(seed_);
   Selection selection;
   for (std::size_t index : rng.SampleWithoutReplacement(
-           instance.repository().user_count(), budget)) {
+           instance.groups().user_count(), budget)) {
     selection.users.push_back(static_cast<UserId>(index));
   }
   selection.score = TotalScore(instance, selection.users);

@@ -15,7 +15,7 @@ InvariantReport CheckGreedyRun(const DiversificationInstance& instance,
                                const Selection& selection,
                                std::size_t budget) {
   InvariantReport report;
-  const std::size_t num_users = instance.repository().user_count();
+  const std::size_t num_users = instance.groups().user_count();
   const std::size_t num_groups = instance.groups().group_count();
   const std::vector<UserId>& users = selection.users;
 
@@ -98,7 +98,7 @@ InvariantReport CheckApproximationRatio(
     const DiversificationInstance& instance, const Selection& selection,
     std::size_t budget, std::size_t max_users) {
   InvariantReport report;
-  if (instance.repository().user_count() > max_users) return report;
+  if (instance.groups().user_count() > max_users) return report;
 
   Result<Selection> optimal = ExhaustiveSelector().Select(instance, budget);
   if (!optimal.ok()) {

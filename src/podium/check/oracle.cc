@@ -60,7 +60,7 @@ double OracleTierScore(const DiversificationInstance& instance,
 }
 
 NestedGroups BuildNestedGroups(const DiversificationInstance& instance) {
-  const std::size_t num_users = instance.repository().user_count();
+  const std::size_t num_users = instance.groups().user_count();
   const std::size_t num_groups = instance.groups().group_count();
   NestedGroups nested;
   nested.members.resize(num_groups);
@@ -108,7 +108,7 @@ Result<Selection> OracleGreedy(const DiversificationInstance& instance,
                                std::size_t budget, std::vector<UserId> pool,
                                std::vector<std::uint8_t> tiers,
                                const std::vector<double>& weights) {
-  const std::size_t num_users = instance.repository().user_count();
+  const std::size_t num_users = instance.groups().user_count();
   if (budget == 0) return Status::InvalidArgument("budget must be positive");
   if (!weights.empty() && weights.size() != instance.groups().group_count()) {
     return Status::InvalidArgument("weights must have one entry per group");

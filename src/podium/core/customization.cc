@@ -53,7 +53,7 @@ Result<std::vector<UserId>> RefineUsers(
     const CustomizationFeedback& feedback) {
   PODIUM_RETURN_IF_ERROR(ValidateFeedback(instance, feedback));
   const GroupIndex& groups = instance.groups();
-  const std::size_t num_users = instance.repository().user_count();
+  const std::size_t num_users = groups.user_count();
 
   // 𝒢₊ grouped by property: within one property membership in any listed
   // bucket suffices; across properties all must be satisfied.

@@ -29,7 +29,7 @@ std::uint64_t BinomialSaturating(std::uint64_t n, std::uint64_t k) {
 
 Result<Selection> ExhaustiveSelector::Select(
     const DiversificationInstance& instance, std::size_t budget) const {
-  const std::size_t n = instance.repository().user_count();
+  const std::size_t n = instance.groups().user_count();
   if (budget == 0) {
     return Status::InvalidArgument("budget must be positive");
   }

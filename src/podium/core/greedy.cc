@@ -158,7 +158,7 @@ Selection RunScalarGreedy(const DiversificationInstance& instance,
                           const std::vector<double>& weights,
                           bool perturbed) {
   const GroupIndex& groups = instance.groups();
-  const std::size_t num_users = instance.repository().user_count();
+  const std::size_t num_users = groups.user_count();
   const std::size_t num_groups = groups.group_count();
 
   // Phase accounting: "greedy.init" covers the marginal-gain setup,
@@ -265,7 +265,7 @@ Selection RunEbsGreedy(const DiversificationInstance& instance,
                        std::size_t budget, const std::vector<UserId>& pool,
                        const std::vector<std::uint32_t>& tie_rank) {
   const GroupIndex& groups = instance.groups();
-  const std::size_t num_users = instance.repository().user_count();
+  const std::size_t num_users = groups.user_count();
 
   std::optional<telemetry::Span> phase;
   phase.emplace("greedy.init");
@@ -354,7 +354,7 @@ Result<Selection> GreedySelector::Select(
   // bench harness can separate setup from selection cost.
   std::optional<telemetry::Span> setup_span;
   setup_span.emplace("greedy.setup");
-  const std::size_t num_users = instance.repository().user_count();
+  const std::size_t num_users = instance.groups().user_count();
   const std::size_t num_groups = instance.groups().group_count();
   if (budget == 0) {
     return Status::InvalidArgument("budget must be positive");

@@ -1,5 +1,8 @@
 #include "podium/core/instance.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "podium/core/kernels.h"
 #include "podium/util/thread_pool.h"
 
@@ -36,15 +39,10 @@ Result<DiversificationInstance> DiversificationInstance::FromGroups(
 }
 
 Result<DiversificationInstance> DiversificationInstance::FromGroupsWithScoring(
-    const ProfileRepository& repository, GroupIndex groups,
-    GroupWeighting weights, CoverageKind coverage_kind,
+    GroupIndex groups, GroupWeighting weights, CoverageKind coverage_kind,
     std::vector<std::uint32_t> coverage, std::size_t budget) {
   if (budget == 0) {
     return Status::InvalidArgument("budget must be positive");
-  }
-  if (groups.user_count() != repository.user_count()) {
-    return Status::InvalidArgument(
-        "group index was built over a different population");
   }
   if (weights.group_count() != groups.group_count() ||
       coverage.size() != groups.group_count()) {
@@ -52,13 +50,25 @@ Result<DiversificationInstance> DiversificationInstance::FromGroupsWithScoring(
         "injected weights/coverage disagree with the group count");
   }
   DiversificationInstance instance;
-  instance.repository_ = &repository;
   instance.weights_ = std::move(weights);
   instance.coverage_kind_ = coverage_kind;
   instance.coverage_ = std::move(coverage);
   instance.groups_ = std::move(groups);
   instance.budget_ = budget;
   return instance;
+}
+
+const ProfileRepository& DiversificationInstance::repository() const {
+  if (repository_ == nullptr) {
+    // A caller that needs profiles was handed a groups-only instance; that
+    // is a programming error with no recoverable result, so report and
+    // abort rather than dereference null.
+    std::fprintf(stderr,
+                 "podium::DiversificationInstance::repository() called on an "
+                 "instance built without a repository\n");
+    std::abort();
+  }
+  return *repository_;
 }
 
 const std::vector<double>& DiversificationInstance::LineTwoGains() const {

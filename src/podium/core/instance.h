@@ -48,13 +48,18 @@ class DiversificationInstance {
   /// The sharded engine uses this to inject globally computed wei/cov into
   /// each shard-local instance, so every shard greedily optimizes the same
   /// global objective f (required for the two-round GreeDi bound and the
-  /// K=1 byte-identity guarantee; see DESIGN.md §13).
+  /// K=1 byte-identity guarantee; see DESIGN.md §13). The population is the
+  /// index's; the instance has no repository (selection reads only the
+  /// groups, weights and coverage).
   [[nodiscard]] static Result<DiversificationInstance> FromGroupsWithScoring(
-      const ProfileRepository& repository, GroupIndex groups,
-      GroupWeighting weights, CoverageKind coverage_kind,
+      GroupIndex groups, GroupWeighting weights, CoverageKind coverage_kind,
       std::vector<std::uint32_t> coverage, std::size_t budget);
 
-  const ProfileRepository& repository() const { return *repository_; }
+  /// The profiles the groups were derived from, for the layers that read
+  /// them (explanations, distance baselines, the oracle). Aborts on an
+  /// instance built without one (FromGroupsWithScoring, or default
+  /// constructed). The population size is groups().user_count().
+  const ProfileRepository& repository() const;
   const GroupIndex& groups() const { return groups_; }
   const GroupWeighting& weights() const { return weights_; }
   WeightKind weight_kind() const { return weights_.kind(); }

@@ -23,7 +23,7 @@ std::vector<RefinementSuggestion> SuggestRefinements(
     const DiversificationInstance& instance, const Selection& selection,
     const RefinementOptions& options) {
   const GroupIndex& groups = instance.groups();
-  const std::size_t population = instance.repository().user_count();
+  const std::size_t population = groups.user_count();
   const std::size_t selected = selection.users.size();
   if (population == 0 || selected == 0) return {};
 

@@ -97,6 +97,52 @@ std::string MakeGroupLabel(const PropertyTable& table, PropertyId property,
   return bucket.label + " " + property_label;
 }
 
+Result<EntryGroupTable> EntryGroupTable::Build(
+    const std::vector<std::vector<bucketing::Bucket>>& buckets_per_property,
+    const std::vector<std::vector<GroupId>>& group_of_bucket) {
+  const std::size_t num_properties = buckets_per_property.size();
+  if (group_of_bucket.size() != num_properties) {
+    return Status::Internal("entry table: bucket and group tables disagree");
+  }
+  EntryGroupTable table;
+  table.first_.reserve(num_properties + 1);
+  for (std::size_t p = 0; p < num_properties; ++p) {
+    const std::vector<bucketing::Bucket>& buckets = buckets_per_property[p];
+    table.first_.push_back(static_cast<std::uint32_t>(table.cuts_.size()));
+    if (buckets.empty()) {
+      table.groups_.push_back(kInvalidGroup);
+      continue;
+    }
+    if (group_of_bucket[p].size() != buckets.size()) {
+      return Status::Internal("entry table: bucket and group tables disagree");
+    }
+    // A tiling of [0, 1]: the first bucket starts at or below 0, each
+    // half-open bucket ends where the next begins, and the last is closed
+    // at or above 1. Then a score in [0, 1] lies in bucket b exactly when
+    // b cut points are <= it, which is FindBucket's first match.
+    bool tiles = buckets.front().lo <= 0.0 && buckets.back().hi_closed &&
+                 buckets.back().hi >= 1.0;
+    for (std::size_t b = 0; b + 1 < buckets.size(); ++b) {
+      tiles = tiles && !buckets[b].hi_closed &&
+              buckets[b].hi == buckets[b + 1].lo;
+      table.cuts_.push_back(buckets[b + 1].lo);
+    }
+    if (!tiles) {
+      return Status::Internal("entry table: a bucketing does not tile [0, 1]");
+    }
+    table.groups_.insert(table.groups_.end(), group_of_bucket[p].begin(),
+                         group_of_bucket[p].end());
+  }
+  table.first_.push_back(static_cast<std::uint32_t>(table.cuts_.size()));
+  return table;
+}
+
+void EntryGroupTable::Renumber(const std::vector<GroupId>& id_of) {
+  for (GroupId& g : groups_) {
+    if (g != kInvalidGroup) g = id_of[g];
+  }
+}
+
 Result<GroupSlots> DeriveGroupSlots(const ProfileRepository& repository,
                                     const GroupingOptions& options,
                                     std::string_view phase) {
@@ -206,6 +252,10 @@ Result<GroupSlots> DeriveGroupSlots(const ProfileRepository& repository,
           GroupDef{p, buckets[b], MakeGroupLabel(table, p, buckets[b])});
     }
   }
+  Result<EntryGroupTable> lookup =
+      EntryGroupTable::Build(slots.buckets_per_property, slots.slot_of);
+  if (!lookup.ok()) return lookup.status();
+  slots.table = std::move(lookup).value();
   return slots;
 }
 

@@ -54,21 +54,50 @@ struct GroupingOptions {
 std::string MakeGroupLabel(const PropertyTable& table, PropertyId property,
                            const bucketing::Bucket& bucket);
 
-/// The group a profile entry falls in: its bucket under
-/// `buckets_per_property[p]`, mapped through `group_of_bucket[p][b]`.
-/// kInvalidGroup when the property is unbucketed or its bucket has no
-/// group.
-inline GroupId GroupOfEntry(
-    const std::vector<std::vector<bucketing::Bucket>>& buckets_per_property,
-    const std::vector<std::vector<GroupId>>& group_of_bucket,
-    const PropertyScore& entry) {
-  const std::vector<bucketing::Bucket>& buckets =
-      buckets_per_property[entry.property];
-  if (buckets.empty()) return kInvalidGroup;
-  const int b = bucketing::FindBucket(buckets, entry.score);
-  if (b < 0) return kInvalidGroup;  // unreachable for valid partitions
-  return group_of_bucket[entry.property][static_cast<std::size_t>(b)];
-}
+/// The entry → group lookup of a bucketing, flattened. β(p) of a score or
+/// boolean property tiles [0, 1] (bucketing::PartitionFromBreakpoints,
+/// bucketing::FixedBooleanBuckets), so the bucket of a score s in [0, 1] is
+/// the number of p's interior cut points (the lo of every bucket but the
+/// first) that are <= s, and FindBucket's answer is that count.
+/// Per property the table holds a [first, last) range into one array of
+/// cut points; the property's group ids follow in one array of group ids,
+/// one per bucket, from first + p. An unbucketed property has no cuts and
+/// one kInvalidGroup entry.
+class EntryGroupTable {
+ public:
+  EntryGroupTable() = default;
+
+  /// Flattens `buckets_per_property` with `group_of_bucket[p][b]` as the
+  /// group of property p's bucket b (kInvalidGroup for no group).
+  /// Internal when a non-empty bucketing does not tile [0, 1] or the two
+  /// tables disagree in shape.
+  static Result<EntryGroupTable> Build(
+      const std::vector<std::vector<bucketing::Bucket>>& buckets_per_property,
+      const std::vector<std::vector<GroupId>>& group_of_bucket);
+
+  /// The group `entry` falls in, or kInvalidGroup when its property is
+  /// unbucketed, its bucket has no group, or its score is outside [0, 1]
+  /// (or NaN) — in every case what FindBucket + group_of_bucket answers.
+  GroupId GroupOfEntry(const PropertyScore& entry) const {
+    const double score = entry.score;
+    if (!(score >= 0.0 && score <= 1.0)) return kInvalidGroup;
+    const std::uint32_t first = first_[entry.property];
+    const std::uint32_t last = first_[entry.property + 1];
+    std::uint32_t bucket = 0;
+    for (std::uint32_t i = first; i < last; ++i) {
+      bucket += cuts_[i] <= score ? 1u : 0u;
+    }
+    return groups_[first + entry.property + bucket];
+  }
+
+  /// Replaces every group id g by `id_of[g]` (kInvalidGroup stays).
+  void Renumber(const std::vector<GroupId>& id_of);
+
+ private:
+  std::vector<std::uint32_t> first_;  // per property + 1
+  std::vector<double> cuts_;
+  std::vector<GroupId> groups_;
+};
 
 /// The candidate groups of a repository before any user is assigned: β(p)
 /// per property and one provisional slot per kept (property, bucket) pair,
@@ -81,10 +110,12 @@ struct GroupSlots {
   std::vector<std::vector<GroupId>> slot_of;
   /// Definitions in slot order.
   std::vector<GroupDef> defs;
+  /// buckets_per_property + slot_of flattened for the per-entry lookup.
+  EntryGroupTable table;
 
   /// Slot of the group `entry` falls in, or kInvalidGroup.
   GroupId SlotOf(const PropertyScore& entry) const {
-    return GroupOfEntry(buckets_per_property, slot_of, entry);
+    return table.GroupOfEntry(entry);
   }
 };
 

@@ -13,17 +13,16 @@ ProfileRepository ProfileRepository::Clone() const {
 }
 
 Result<UserId> ProfileRepository::AddUser(std::string name) {
-  if (user_index_.contains(name)) {
+  const auto id = static_cast<UserId>(users_.size());
+  if (!user_index_.try_emplace(name, id).second) {
     return Status::AlreadyExists("duplicate user name: " + name);
   }
-  const auto id = static_cast<UserId>(users_.size());
-  user_index_.emplace(name, id);
   users_.emplace_back(std::move(name));
   return id;
 }
 
 UserId ProfileRepository::FindUser(std::string_view name) const {
-  auto it = user_index_.find(std::string(name));
+  auto it = user_index_.find(name);
   return it == user_index_.end() ? kInvalidUser : it->second;
 }
 

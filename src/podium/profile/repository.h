@@ -1,6 +1,7 @@
 #ifndef PODIUM_PROFILE_REPOSITORY_H_
 #define PODIUM_PROFILE_REPOSITORY_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -61,9 +62,19 @@ class ProfileRepository {
   double MeanProfileSize() const;
 
  private:
+  /// Hashes std::string and std::string_view alike, so FindUser looks a
+  /// name up without building a std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   PropertyTable properties_;
   std::vector<UserProfile> users_;
-  std::unordered_map<std::string, UserId> user_index_;
+  std::unordered_map<std::string, UserId, NameHash, std::equal_to<>>
+      user_index_;
 };
 
 }  // namespace podium

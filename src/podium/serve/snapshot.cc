@@ -25,10 +25,10 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Build(
   snapshot->created_at_ = std::chrono::steady_clock::now();
 
   if (options.shard.num_shards > 1) {
-    // Sharded mode: the partitioned engine owns per-shard
-    // sub-repositories and adjacency; the global repository_ and
-    // default_instance_ stay empty (the input repository is dropped once
-    // the shards are built).
+    // Sharded mode: the partitioned engine owns the per-shard adjacency
+    // and a name per user; the global repository_ and default_instance_
+    // stay empty (the input repository is dropped once the shards are
+    // built).
     Result<std::shared_ptr<const shard::ShardedSnapshot>> sharded =
         shard::ShardedSnapshot::Build(repository, options.instance,
                                       options.shard, generation);

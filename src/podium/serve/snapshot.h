@@ -51,7 +51,8 @@ class Snapshot {
       std::uint64_t generation);
 
   /// Only meaningful for unsharded snapshots (empty under sharding — the
-  /// population lives in the per-shard sub-repositories).
+  /// shards keep only their CSR adjacency, and names live in the
+  /// ShardedSnapshot).
   const ProfileRepository& repository() const { return repository_; }
   const SnapshotOptions& options() const { return options_; }
   std::uint64_t generation() const { return generation_; }

@@ -50,8 +50,8 @@ Result<GroupScheme> BuildGroupScheme(const ProfileRepository& repository,
   }
 
   // Prune exactly as Build does (empty and undersized slots drop; the
-  // survivors compact in slot order) and map slot_of through the
-  // compaction into the final (property, bucket) → global id map.
+  // survivors compact in slot order) and renumber the slot table through
+  // the compaction into the entry → global id table.
   GroupScheme scheme;
   scheme.population = num_users;
   const std::size_t min_size = std::max<std::size_t>(options.min_group_size, 1);
@@ -62,13 +62,8 @@ Result<GroupScheme> BuildGroupScheme(const ProfileRepository& repository,
     scheme.defs.push_back(std::move(slots->defs[slot]));
     scheme.global_sizes.push_back(static_cast<std::uint32_t>(slot_sizes[slot]));
   }
-  scheme.group_of_bucket = std::move(slots->slot_of);
-  for (std::vector<GroupId>& groups : scheme.group_of_bucket) {
-    for (GroupId& g : groups) {
-      if (g != kInvalidGroup) g = final_of_slot[g];
-    }
-  }
-  scheme.buckets_per_property = std::move(slots->buckets_per_property);
+  scheme.table = std::move(slots->table);
+  scheme.table.Renumber(final_of_slot);
   return scheme;
 }
 

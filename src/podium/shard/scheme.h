@@ -5,19 +5,18 @@
 #include <cstdint>
 #include <vector>
 
-#include "podium/bucketing/bucketizer.h"
 #include "podium/groups/group_index.h"
 #include "podium/profile/repository.h"
 #include "podium/util/result.h"
 
 namespace podium::shard {
 
-/// The GLOBAL group structure of a repository — definitions, bucket
-/// boundaries, (property, bucket) → group-id mapping, and global group
-/// sizes — WITHOUT the global CSR adjacency. This is what every shard
-/// shares: each shard materializes only its local slice of the adjacency
-/// against this scheme's group-id space, so the 2^32-links-per-arena CSR
-/// ceiling applies per shard instead of to the whole population.
+/// The GLOBAL group structure of a repository — definitions, the flat
+/// entry → group-id table, and global group sizes — WITHOUT the global CSR
+/// adjacency. This is what every shard shares: each shard materializes
+/// only its local slice of the adjacency against this scheme's group-id
+/// space, so the 2^32-links-per-arena CSR ceiling applies per shard
+/// instead of to the whole population.
 ///
 /// BuildGroupScheme runs the same DeriveGroupSlots pipeline as
 /// GroupIndex::Build, then counts members per slot instead of listing them
@@ -29,12 +28,9 @@ struct GroupScheme {
   std::vector<GroupDef> defs;
   /// |G| over the whole repository, per global group id.
   std::vector<std::uint32_t> global_sizes;
-  /// β(p) per property (empty for unbucketed properties).
-  std::vector<std::vector<bucketing::Bucket>> buckets_per_property;
-  /// group_of_bucket[p][b] = global group id of property p's bucket-b
-  /// group, or kInvalidGroup when the bucket produced no (kept) group.
-  /// Outer vector indexed by PropertyId; inner empty when unbucketed.
-  std::vector<std::vector<GroupId>> group_of_bucket;
+  /// Entry → global group id: β(p) per property with each bucket's global
+  /// group (kInvalidGroup when the bucket produced no kept group).
+  EntryGroupTable table;
   /// |𝒰| the scheme was computed over.
   std::size_t population = 0;
 

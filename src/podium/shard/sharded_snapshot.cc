@@ -11,8 +11,9 @@ namespace podium::shard {
 
 namespace {
 
-/// Builds one shard in place: sub-repository, local CSR over the global
-/// group-id space, and the local instance carrying the GLOBAL scoring.
+/// Builds one shard in place: the local CSR over the global group-id
+/// space, read straight from the input repository through the shard's
+/// global ids, and the local instance carrying the GLOBAL scoring.
 Status BuildShard(const ProfileRepository& repository,
                   const GroupScheme& scheme, const GroupWeighting& weights,
                   const std::vector<std::uint32_t>& coverage,
@@ -21,32 +22,18 @@ Status BuildShard(const ProfileRepository& repository,
   out->global_ids = std::move(users);
   const std::size_t n_local = out->global_ids.size();
 
-  // Sub-repository under the SAME PropertyTable (ids must line up with
-  // the scheme's); local ids are positions in the ascending global list.
-  {
-    telemetry::Span copy_span("shard.build.copy");
-    out->repository.properties() = repository.properties();
-    for (UserId local = 0; local < n_local; ++local) {
-      const UserProfile& source = repository.user(out->global_ids[local]);
-      Result<UserId> added = out->repository.AddUser(source.name());
-      if (!added.ok()) return added.status();
-      out->repository.mutable_user(added.value())
-          .ReplaceEntries(source.entries());
-    }
-  }
-
-  // Local member lists per GLOBAL group id — the same entry → bucket →
-  // group assignment GroupIndex::Build performs, restricted to this
-  // shard's users. Locally-empty groups stay (FromMembership keeps them),
-  // preserving the shared id space.
+  // Local member lists per GLOBAL group id — the same entry → group
+  // lookup GroupIndex::Build performs, restricted to this shard's users;
+  // local ids are positions in the ascending global list. Locally-empty
+  // groups stay (FromMembership keeps them), preserving the shared id
+  // space.
   std::vector<std::vector<UserId>> members(scheme.group_count());
   {
     telemetry::Span assign_span("shard.build.assign");
     for (UserId local = 0; local < n_local; ++local) {
       for (const PropertyScore& entry :
-           out->repository.user(local).entries()) {
-        const GroupId g = GroupOfEntry(scheme.buckets_per_property,
-                                       scheme.group_of_bucket, entry);
+           repository.user(out->global_ids[local]).entries()) {
+        const GroupId g = scheme.table.GroupOfEntry(entry);
         if (g != kInvalidGroup) members[g].push_back(local);
       }
     }
@@ -60,8 +47,7 @@ Status BuildShard(const ProfileRepository& repository,
 
   Result<DiversificationInstance> instance =
       DiversificationInstance::FromGroupsWithScoring(
-          out->repository, std::move(index).value(), weights, coverage_kind,
-          coverage, budget);
+          std::move(index).value(), weights, coverage_kind, coverage, budget);
   if (!instance.ok()) return instance.status();
   out->instance = std::move(instance).value();
   return Status::Ok();
@@ -100,19 +86,24 @@ Result<std::shared_ptr<const ShardedSnapshot>> ShardedSnapshot::Build(
   snapshot->scheme_ = std::move(scheme).value();
   snapshot->options_ = options;
   snapshot->instance_options_ = instance;
-  snapshot->user_count_ = repository.user_count();
   snapshot->generation_ = generation;
   snapshot->weights_ = GroupWeighting::ComputeFromSizes(
       snapshot->scheme_.global_sizes, instance.weight_kind, instance.budget);
   snapshot->coverage_ =
       ComputeCoverage(snapshot->scheme_.global_sizes, instance.coverage_kind,
                       instance.budget, repository.user_count());
+  snapshot->names_.resize(repository.user_count());
+  util::ParallelFor(
+      "shard.snapshot.names", repository.user_count(),
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (UserId u = begin; u < end; ++u) {
+          snapshot->names_[u] = repository.user(u).name();
+        }
+      },
+      4096);
 
   const std::size_t k = options.num_shards;
-  snapshot->shards_.reserve(k);
-  for (std::size_t s = 0; s < k; ++s) {
-    snapshot->shards_.push_back(std::make_unique<ShardSnapshot>());
-  }
+  snapshot->shards_.resize(k);
   PartitionPlan& users = plan.value();
   std::vector<Status> errors(k);
   util::ParallelFor(
@@ -122,7 +113,7 @@ Result<std::shared_ptr<const ShardedSnapshot>> ShardedSnapshot::Build(
           errors[s] = BuildShard(
               repository, snapshot->scheme_, snapshot->weights_,
               snapshot->coverage_, instance.coverage_kind, instance.budget,
-              std::move(users.users[s]), snapshot->shards_[s].get());
+              std::move(users.users[s]), &snapshot->shards_[s]);
         }
       },
       1);
@@ -143,14 +134,14 @@ Result<std::shared_ptr<const ShardedSnapshot>> ShardedSnapshot::Build(
 
 std::size_t ShardedSnapshot::MemoryBytes() const {
   std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->MemoryBytes();
+  for (const ShardSnapshot& shard : shards_) total += shard.MemoryBytes();
   return total;
 }
 
 Result<ShardedSnapshot::Location> ShardedSnapshot::Locate(
     UserId global) const {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::vector<UserId>& ids = shards_[s]->global_ids;
+    const std::vector<UserId>& ids = shards_[s].global_ids;
     const auto it = std::lower_bound(ids.begin(), ids.end(), global);
     if (it != ids.end() && *it == global) {
       return Location{s, static_cast<UserId>(it - ids.begin())};
@@ -160,11 +151,10 @@ Result<ShardedSnapshot::Location> ShardedSnapshot::Locate(
 }
 
 Result<std::string> ShardedSnapshot::UserName(UserId global) const {
-  Result<Location> location = Locate(global);
-  if (!location.ok()) return location.status();
-  return shards_[location.value().shard]
-      ->repository.user(location.value().local)
-      .name();
+  if (global >= names_.size()) {
+    return Status::NotFound("user id not present in any shard");
+  }
+  return names_[global];
 }
 
 }  // namespace podium::shard

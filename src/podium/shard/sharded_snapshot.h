@@ -15,14 +15,14 @@
 
 namespace podium::shard {
 
-/// One shard: a sub-repository of the partition's users (dense local ids,
-/// ascending in global id) plus a shard-local CSR GroupIndex over the
-/// GLOBAL group-id space, wrapped in a DiversificationInstance whose
-/// weights and coverage are the GLOBAL values — every shard optimizes the
-/// same objective f, which is what the two-round bound and the K=1
-/// byte-identity guarantee rest on (DESIGN.md §13).
+/// One shard: the partition's users (dense local ids, ascending in global
+/// id) and a shard-local CSR GroupIndex over the GLOBAL group-id space,
+/// wrapped in a DiversificationInstance whose weights and coverage are the
+/// GLOBAL values — every shard optimizes the same objective f, which is
+/// what the two-round bound and the K=1 byte-identity guarantee rest on
+/// (DESIGN.md §13). A shard holds no profiles: selection reads only the
+/// links, so the instance has no repository.
 struct ShardSnapshot {
-  ProfileRepository repository;
   /// Local id → global id, strictly ascending.
   std::vector<UserId> global_ids;
   DiversificationInstance instance;
@@ -40,19 +40,21 @@ class ShardedSnapshot {
  public:
   /// Builds scheme + partition + K shards. EBS weights are rejected
   /// (their rank-lexicographic scoring does not decompose across a merge
-  /// round); Iden/LBS are exact. The input repository is only read — the
-  /// shards hold independent sub-repositories.
+  /// round); Iden/LBS are exact. The input repository is only read, and
+  /// need not outlive the snapshot: each shard reads its users' entries
+  /// through its global ids while it is built and keeps only its CSR; the
+  /// snapshot keeps one name per user for UserName.
   static Result<std::shared_ptr<const ShardedSnapshot>> Build(
       const ProfileRepository& repository, const InstanceOptions& instance,
       const ShardOptions& options, std::uint64_t generation = 1);
 
   std::size_t shard_count() const { return shards_.size(); }
-  const ShardSnapshot& shard(std::size_t s) const { return *shards_[s]; }
+  const ShardSnapshot& shard(std::size_t s) const { return shards_[s]; }
   const GroupScheme& scheme() const { return scheme_; }
   const ShardOptions& options() const { return options_; }
   std::uint64_t generation() const { return generation_; }
 
-  std::size_t user_count() const { return user_count_; }
+  std::size_t user_count() const { return names_.size(); }
   std::size_t group_count() const { return scheme_.group_count(); }
   WeightKind weight_kind() const { return instance_options_.weight_kind; }
   CoverageKind coverage_kind() const {
@@ -69,15 +71,15 @@ class ShardedSnapshot {
   std::size_t MemoryBytes() const;
 
   /// (shard, local id) of a global user. Binary search over each shard's
-  /// ascending global_ids — O(K log n), used only for per-selection name
-  /// lookups, so no global O(users) reverse map is stored.
+  /// ascending global_ids — O(K log n); no global O(users) reverse map is
+  /// stored.
   struct Location {
     std::size_t shard = 0;
     UserId local = kInvalidUser;
   };
   Result<Location> Locate(UserId global) const;
 
-  /// Display name of a global user.
+  /// Display name of a global user (an index into the name table).
   Result<std::string> UserName(UserId global) const;
 
  private:
@@ -88,9 +90,9 @@ class ShardedSnapshot {
   InstanceOptions instance_options_;
   GroupWeighting weights_;
   std::vector<std::uint32_t> coverage_;
-  // unique_ptr so instance.repository() pointers stay stable forever.
-  std::vector<std::unique_ptr<ShardSnapshot>> shards_;
-  std::size_t user_count_ = 0;
+  std::vector<ShardSnapshot> shards_;
+  /// Display name per global user id.
+  std::vector<std::string> names_;
   std::uint64_t generation_ = 0;
 };
 

@@ -1,5 +1,8 @@
 #include "podium/core/instance.h"
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tests/testing/table2.h"
@@ -54,6 +57,23 @@ TEST(InstanceTest, FromGroupsRejectsForeignIndex) {
                                           WeightKind::kLbs,
                                           CoverageKind::kSingle, 2);
   EXPECT_FALSE(instance.ok());
+}
+
+TEST(InstanceTest, ScoringInstanceTakesItsPopulationFromTheIndex) {
+  const ProfileRepository repo = testing::MakeTable2Repository();
+  GroupIndex groups = GroupIndex::Build(repo, {}).value();
+  const std::size_t num_groups = groups.group_count();
+  const GroupWeighting weights =
+      GroupWeighting::Compute(groups, WeightKind::kIden, 2);
+  Result<DiversificationInstance> instance =
+      DiversificationInstance::FromGroupsWithScoring(
+          std::move(groups), weights, CoverageKind::kSingle,
+          std::vector<std::uint32_t>(num_groups, 1), 2);
+  ASSERT_TRUE(instance.ok()) << instance.status();
+  EXPECT_EQ(instance->groups().user_count(), repo.user_count());
+  // Built without a repository: asking for one is a checked failure.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH((void)instance->repository(), "built without a repository");
 }
 
 TEST(InstanceTest, PropertyFiltersNarrowTheInstance) {

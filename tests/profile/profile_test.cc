@@ -1,3 +1,5 @@
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "podium/profile/property.h"
@@ -93,6 +95,21 @@ TEST(RepositoryTest, RejectsDuplicateNames) {
   Result<UserId> duplicate = repo.AddUser("Alice");
   ASSERT_FALSE(duplicate.ok());
   EXPECT_EQ(duplicate.status().code(), StatusCode::kAlreadyExists);
+  // A refused name adds no user and leaves the first one findable.
+  EXPECT_EQ(repo.user_count(), 1u);
+  EXPECT_EQ(repo.FindUser("Alice"), 0u);
+  ASSERT_TRUE(repo.AddUser("Bob").ok());
+  EXPECT_EQ(repo.FindUser("Bob"), 1u);
+}
+
+TEST(RepositoryTest, FindUserTakesAnyStringView) {
+  ProfileRepository repo;
+  ASSERT_TRUE(repo.AddUser("user-00042").ok());
+  // A view into a longer buffer: no terminator after the name.
+  const std::string_view buffer = "user-00042,user-00043";
+  EXPECT_EQ(repo.FindUser(buffer.substr(0, 10)), 0u);
+  EXPECT_EQ(repo.FindUser(buffer.substr(11)), kInvalidUser);
+  EXPECT_EQ(repo.FindUser(buffer), kInvalidUser);
 }
 
 TEST(RepositoryTest, SetScoreValidatesInput) {

@@ -11,6 +11,8 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -235,6 +237,68 @@ TEST(ShardedSnapshotTest, LocateAndUserNameRoundTrip) {
   EXPECT_FALSE(
       sharded.Locate(static_cast<UserId>(f.data.repository.user_count()))
           .ok());
+}
+
+TEST(ShardedSnapshotTest, ShardCsrMatchesUnshardedIndex) {
+  // Reference: the unsharded index over the same repository. A shard's
+  // rows must be the reference rows restricted to its global ids and
+  // renumbered to local ids, in both CSR directions, at any thread count.
+  const ShardFixture f = ShardFixture::Make(300, 4);
+  const GroupIndex& reference = f.instance.groups();
+  const std::size_t prior = util::ThreadPool::GlobalThreadCount();
+  for (const PartitionStrategy strategy :
+       {PartitionStrategy::kHashUsers, PartitionStrategy::kGroupAffine}) {
+    for (const std::size_t k : {1, 2, 3, 8}) {
+      for (const std::size_t threads : {1, 2, 4}) {
+        util::ThreadPool::SetGlobalThreadCount(threads);
+        const std::string tag = std::string(PartitionStrategyName(strategy)) +
+                                " K=" + std::to_string(k) +
+                                " threads=" + std::to_string(threads);
+        Result<std::shared_ptr<const ShardedSnapshot>> snapshot =
+            f.Sharded(k, strategy);
+        ASSERT_TRUE(snapshot.ok()) << tag << snapshot.status().ToString();
+        const ShardedSnapshot& sharded = *snapshot.value();
+        ASSERT_EQ(sharded.group_count(), reference.group_count()) << tag;
+        for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+          const ShardSnapshot& shard = sharded.shard(s);
+          const GroupIndex& local = shard.instance.groups();
+          ASSERT_EQ(local.user_count(), shard.user_count()) << tag;
+          ASSERT_EQ(local.group_count(), reference.group_count()) << tag;
+          std::vector<UserId> local_of(f.data.repository.user_count(),
+                                       kInvalidUser);
+          for (UserId l = 0; l < shard.user_count(); ++l) {
+            local_of[shard.global_ids[l]] = l;
+            const std::span<const GroupId> want =
+                reference.groups_of(shard.global_ids[l]);
+            const std::span<const GroupId> got = local.groups_of(l);
+            EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin(),
+                                   got.end()))
+                << tag << " shard " << s << " local user " << l;
+          }
+          for (GroupId g = 0; g < reference.group_count(); ++g) {
+            std::vector<UserId> want;
+            for (const UserId u : reference.members(g)) {
+              if (local_of[u] != kInvalidUser) want.push_back(local_of[u]);
+            }
+            const std::span<const UserId> got = local.members(g);
+            EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin(),
+                                   got.end()))
+                << tag << " shard " << s << " group " << g;
+          }
+        }
+        for (UserId u = 0; u < f.data.repository.user_count(); ++u) {
+          Result<std::string> name = sharded.UserName(u);
+          ASSERT_TRUE(name.ok()) << tag;
+          EXPECT_EQ(name.value(), f.data.repository.user(u).name()) << tag;
+        }
+        EXPECT_FALSE(
+            sharded.UserName(static_cast<UserId>(f.data.repository.user_count()))
+                .ok())
+            << tag;
+      }
+    }
+  }
+  util::ThreadPool::SetGlobalThreadCount(prior);
 }
 
 TEST(ShardedSnapshotTest, RejectsEbsAndZeroBudget) {
