@@ -86,10 +86,41 @@ TEST_P(BucketizerPropertyTest, ProducesValidPartition) {
   for (const Bucket& bucket : buckets) EXPECT_FALSE(bucket.label.empty());
 }
 
+// gtest prints each SweepCase's bytes, the method pointer's included, into
+// the case's ctest name. The method names therefore live at fixed offsets
+// in a 64 KiB-aligned block: the executable is mapped at a 64 KiB boundary
+// (tests/CMakeLists.txt), so each pointer's low two bytes, the leading
+// bytes of the names, are the offsets below whatever the build type or the
+// layout of the rest of the binary.
+struct PinnedMethod {
+  const char* method;
+  std::size_t offset;
+};
+constexpr PinnedMethod kPinnedMethods[] = {{"equal-width", 0x2F28},
+                                           {"quantile", 0x2F3E},
+                                           {"kmeans-1d", 0x0C72},
+                                           {"jenks", 0x0C7C},
+                                           {"kde", 0x0C82}};
+
+struct alignas(0x10000) MethodNameBlock {
+  char bytes[0x3000];
+};
+
+constexpr MethodNameBlock MakeMethodNameBlock() {
+  MethodNameBlock block{};
+  for (const PinnedMethod& pinned : kPinnedMethods) {
+    for (std::size_t i = 0; pinned.method[i] != '\0'; ++i) {
+      block.bytes[pinned.offset + i] = pinned.method[i];
+    }
+  }
+  return block;
+}
+constexpr MethodNameBlock kMethodNames = MakeMethodNameBlock();
+
 std::vector<SweepCase> AllSweepCases() {
   std::vector<SweepCase> cases;
-  for (const char* method :
-       {"equal-width", "quantile", "kmeans-1d", "jenks", "kde"}) {
+  for (const PinnedMethod& pinned : kPinnedMethods) {
+    const char* method = kMethodNames.bytes + pinned.offset;
     for (int k : {1, 2, 3, 5, 8}) {
       for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
         cases.push_back(SweepCase{method, k, seed});
