@@ -504,6 +504,14 @@ void RunRound(RoundLog& log, const DiffOptions& options, int round) {
   plan.instance.grouping.max_buckets = 2 + static_cast<int>(rng.NextBounded(3));
   plan.budget = 1 + rng.NextBounded(6);
   plan.instance.budget = plan.budget;
+  // Pruning is drawn from a second stream seeded from the round seed, so
+  // the draws above, and with them each seed's dataset, stay as they were.
+  util::Rng pruning_rng = util::Rng(log.seed).Fork(1);
+  constexpr std::size_t kMinGroupSizes[] = {1, 2, 5};
+  plan.instance.grouping.min_group_size =
+      kMinGroupSizes[pruning_rng.NextBounded(3)];
+  plan.instance.grouping.include_boolean_false_groups =
+      pruning_rng.NextBernoulli(0.5);
 
   Result<datagen::Dataset> dataset = datagen::GenerateDataset(plan.config);
   if (!dataset.ok()) {

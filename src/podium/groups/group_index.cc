@@ -18,75 +18,36 @@ namespace {
 /// a chunk needs a few hundred users to amortize dispatch.
 constexpr std::size_t kUserGrain = 256;
 
-/// Lists every slot's members, ascending by user id. A first pass over
-/// user chunks records each user's slots in order and counts them per
-/// (chunk, slot); each slot's list is then allocated at its exact size,
-/// and a second pass writes every chunk's users at that chunk's offset
-/// in it. A chunk keeps three flat arrays instead of one list per slot:
-/// with 64 chunks and ~10k slots, allocating and freeing those lists
-/// cost a quarter of a `custom` build.
-std::vector<std::vector<UserId>> AssignMembers(
-    const ProfileRepository& repository, const GroupSlots& slots) {
-  telemetry::Span span("group_index.members");
-  const std::size_t num_users = repository.user_count();
-  const std::size_t num_slots = slots.defs.size();
+}  // namespace
+
+UserRows AssignUserRows(
+    std::string_view loop, std::size_t num_users, std::size_t num_groups,
+    const std::function<void(UserId, std::vector<GroupId>&)>& row_of) {
+  UserRows rows;
+  rows.num_users = num_users;
   const std::size_t num_chunks =
       util::PlanChunks(num_users, kUserGrain).num_chunks;
-  std::vector<std::vector<GroupId>> chunk_slots(num_chunks);
-  std::vector<std::vector<std::uint32_t>> chunk_degrees(num_chunks);
-  // Per slot: the chunk's member count, then its offset in the slot list.
-  std::vector<std::vector<std::uint32_t>> chunk_counts(num_chunks);
+  rows.ids.resize(num_chunks);
+  rows.degrees.resize(num_chunks);
+  rows.counts.resize(num_chunks);
   util::ParallelFor(
-      "group_index.assign", num_users,
+      loop, num_users,
       [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        std::vector<GroupId>& ids = chunk_slots[chunk];
-        chunk_degrees[chunk].resize(end - begin);
-        chunk_counts[chunk].resize(num_slots);
+        std::vector<GroupId>& ids = rows.ids[chunk];
+        std::vector<std::uint32_t>& counts = rows.counts[chunk];
+        rows.degrees[chunk].resize(end - begin);
+        counts.resize(num_groups);
         for (UserId u = begin; u < end; ++u) {
           const std::size_t before = ids.size();
-          for (const PropertyScore& entry : repository.user(u).entries()) {
-            const GroupId slot = slots.SlotOf(entry);
-            if (slot == kInvalidGroup) continue;
-            ids.push_back(slot);
-            ++chunk_counts[chunk][slot];
-          }
-          chunk_degrees[chunk][u - begin] =
+          row_of(u, ids);
+          for (std::size_t i = before; i < ids.size(); ++i) ++counts[ids[i]];
+          rows.degrees[chunk][u - begin] =
               static_cast<std::uint32_t>(ids.size() - before);
         }
       },
       kUserGrain);
-  std::vector<std::vector<UserId>> members(num_slots);
-  util::ParallelFor(
-      "group_index.gather", num_slots,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t slot = begin; slot < end; ++slot) {
-          std::uint32_t total = 0;
-          for (auto& counts : chunk_counts) {
-            const std::uint32_t count = counts[slot];
-            counts[slot] = total;
-            total += count;
-          }
-          members[slot].resize(total);
-        }
-      },
-      16);
-  util::ParallelFor(
-      "group_index.scatter", num_users,
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        const GroupId* slot = chunk_slots[chunk].data();
-        std::vector<std::uint32_t>& cursor = chunk_counts[chunk];
-        for (UserId u = begin; u < end; ++u) {
-          for (std::uint32_t k = chunk_degrees[chunk][u - begin]; k > 0;
-               --k, ++slot) {
-            members[*slot][cursor[*slot]++] = u;
-          }
-        }
-      },
-      kUserGrain);
-  return members;
+  return rows;
 }
-
-}  // namespace
 
 std::string MakeGroupLabel(const PropertyTable& table, PropertyId property,
                            const bucketing::Bucket& bucket) {
@@ -259,102 +220,107 @@ Result<GroupSlots> DeriveGroupSlots(const ProfileRepository& repository,
   return slots;
 }
 
-Status GroupIndex::FinalizeAdjacency(
-    const std::vector<std::vector<UserId>>& members,
-    const std::vector<bool>& keep, std::size_t num_users) {
+Result<GroupIndex> GroupIndex::FromUserRows(std::vector<GroupDef> defs,
+                                            UserRows rows,
+                                            std::size_t min_group_size) {
   telemetry::Span span("group_index.finalize");
-  std::size_t kept = 0;
+  const std::size_t num_slots = defs.size();
+  const std::size_t num_users = rows.num_users;
+  for (const std::vector<std::uint32_t>& counts : rows.counts) {
+    if (counts.size() != num_slots) {
+      return Status::InvalidArgument(
+          "FromUserRows: rows and defs disagree in group count");
+    }
+  }
+
+  // Gather: each chunk's count per group becomes the number of the
+  // group's members in earlier chunks.
+  std::vector<std::uint32_t> sizes(num_slots);
+  util::ParallelFor(
+      "group_index.gather", num_slots,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t slot = begin; slot < end; ++slot) {
+          std::uint32_t total = 0;
+          for (std::vector<std::uint32_t>& counts : rows.counts) {
+            const std::uint32_t count = counts[slot];
+            counts[slot] = total;
+            total += count;
+          }
+          sizes[slot] = total;
+        }
+      },
+      16);
+
+  GroupIndex index;
+  std::vector<GroupId> id_of(num_slots, kInvalidGroup);
   std::size_t links = 0;
-  for (std::size_t slot = 0; slot < members.size(); ++slot) {
-    if (!keep[slot]) continue;
-    ++kept;
-    links += members[slot].size();
+  for (std::size_t slot = 0; slot < num_slots; ++slot) {
+    if (sizes[slot] < min_group_size) continue;
+    id_of[slot] = static_cast<GroupId>(index.defs_.size());
+    index.defs_.push_back(std::move(defs[slot]));
+    links += sizes[slot];
   }
   if (links > std::numeric_limits<std::uint32_t>::max()) {
     return Status::InvalidArgument(
         "adjacency exceeds 2^32 links; uint32 CSR offsets overflow");
   }
+  const std::size_t kept = index.defs_.size();
 
   // One contiguous 64-byte-aligned block for all four CSR arrays, sized
   // exactly; the arena's guard bytes license the kernels' flag gathers.
-  arena_ = std::make_shared<util::Arena>(
+  index.arena_ = std::make_shared<util::Arena>(
       util::Arena::BytesFor<std::uint32_t>(kept + 1) +
       util::Arena::BytesFor<UserId>(links) +
       util::Arena::BytesFor<std::uint32_t>(num_users + 1) +
       util::Arena::BytesFor<GroupId>(links));
+  util::Arena& arena = *index.arena_;
   const std::span<std::uint32_t> member_offsets =
-      arena_->AllocateSpan<std::uint32_t>(kept + 1);
-  const std::span<UserId> member_values = arena_->AllocateSpan<UserId>(links);
+      arena.AllocateSpan<std::uint32_t>(kept + 1);
+  const std::span<UserId> member_values = arena.AllocateSpan<UserId>(links);
   const std::span<std::uint32_t> user_offsets =
-      arena_->AllocateSpan<std::uint32_t>(num_users + 1);
-  const std::span<GroupId> user_values = arena_->AllocateSpan<GroupId>(links);
-
-  // Member direction: the kept lists in slot order, copied row by row.
-  std::vector<const std::vector<UserId>*> rows;
-  rows.reserve(kept);
-  for (std::size_t slot = 0; slot < members.size(); ++slot) {
-    if (!keep[slot]) continue;
-    member_offsets[rows.size() + 1] = static_cast<std::uint32_t>(
-        member_offsets[rows.size()] + members[slot].size());
-    rows.push_back(&members[slot]);
+      arena.AllocateSpan<std::uint32_t>(num_users + 1);
+  const std::span<GroupId> user_values = arena.AllocateSpan<GroupId>(links);
+  for (std::size_t slot = 0; slot < num_slots; ++slot) {
+    const GroupId g = id_of[slot];
+    if (g != kInvalidGroup) {
+      member_offsets[g + 1] = member_offsets[g] + sizes[slot];
+    }
   }
-  util::ParallelFor(
-      "group_index.flatten", kept,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t g = begin; g < end; ++g) {
-          std::copy(rows[g]->begin(), rows[g]->end(),
-                    member_values.begin() + member_offsets[g]);
-        }
-      },
-      16);
-
-  // Reverse direction, chunked over user ids. A chunk finds each group's
-  // first member >= begin; the links before those positions belong to
-  // earlier users, so their count is where the chunk's rows start. It
-  // then walks each group's span up to end twice: once counting its users'
-  // degrees, once filling their rows. Chunks write disjoint rows, each row
-  // ascends by group id, and the arrays are the same at any thread count.
   user_offsets[num_users] = static_cast<std::uint32_t>(links);
+
+  // Scatter, chunked over users as the rows are: each kept link goes to
+  // the end of its user's row and to the chunk's next place in its
+  // group's row. A chunk's rows start after the kept links of earlier
+  // chunks, which the gathered counts already sum.
   util::ParallelFor(
-      "group_index.reverse", num_users,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        std::vector<std::uint32_t> first(kept);
-        std::uint32_t row_start = 0;
-        for (std::size_t g = 0; g < kept; ++g) {
-          first[g] = static_cast<std::uint32_t>(
-              std::lower_bound(member_values.begin() + member_offsets[g],
-                               member_values.begin() + member_offsets[g + 1],
-                               begin) -
-              member_values.begin());
-          row_start += first[g] - member_offsets[g];
+      "group_index.scatter", num_users,
+      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+        std::vector<std::uint32_t>& cursor = rows.counts[chunk];
+        std::uint32_t row = 0;
+        for (std::size_t slot = 0; slot < num_slots; ++slot) {
+          if (id_of[slot] == kInvalidGroup) continue;
+          row += cursor[slot];
+          cursor[slot] += member_offsets[id_of[slot]];
         }
-        const auto for_each_link = [&](const auto& visit) {
-          for (std::size_t g = 0; g < kept; ++g) {
-            for (std::uint32_t i = first[g];
-                 i < member_offsets[g + 1] && member_values[i] < end; ++i) {
-              visit(static_cast<GroupId>(g), member_values[i]);
-            }
+        const GroupId* slot = rows.ids[chunk].data();
+        for (UserId u = begin; u < end; ++u) {
+          user_offsets[u] = row;
+          for (std::uint32_t k = rows.degrees[chunk][u - begin]; k > 0;
+               --k, ++slot) {
+            const GroupId g = id_of[*slot];
+            if (g == kInvalidGroup) continue;
+            user_values[row++] = g;
+            member_values[cursor[*slot]++] = u;
           }
-        };
-        for_each_link([&](GroupId, UserId u) { ++user_offsets[u]; });
-        for (std::size_t u = begin; u < end; ++u) {
-          const std::uint32_t degree = user_offsets[u];
-          user_offsets[u] = row_start;
-          row_start += degree;
         }
-        std::vector<std::uint32_t> cursor(user_offsets.begin() + begin,
-                                          user_offsets.begin() + end);
-        for_each_link([&](GroupId g, UserId u) {
-          user_values[cursor[u - begin]++] = g;
-        });
       },
       kUserGrain);
 
-  member_offsets_ = member_offsets;
-  member_values_ = member_values;
-  user_offsets_ = user_offsets;
-  user_values_ = user_values;
-  return Status::Ok();
+  index.member_offsets_ = member_offsets;
+  index.member_values_ = member_values;
+  index.user_offsets_ = user_offsets;
+  index.user_values_ = user_values;
+  return index;
 }
 
 Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
@@ -363,36 +329,32 @@ Result<GroupIndex> GroupIndex::Build(const ProfileRepository& repository,
   Result<GroupSlots> slots =
       DeriveGroupSlots(repository, options, "group_index");
   if (!slots.ok()) return slots.status();
-  const std::size_t num_users = repository.user_count();
   const std::size_t num_slots = slots->defs.size();
 
-  std::vector<std::vector<UserId>> provisional_members =
-      AssignMembers(repository, *slots);
-
-  // Compact away empty / undersized groups and flatten both directions.
-  GroupIndex index;
-  index.buckets_per_property_ = std::move(slots->buckets_per_property);
-  const std::size_t min_size = std::max<std::size_t>(options.min_group_size, 1);
-  std::vector<bool> keep(num_slots, false);
-  for (std::size_t slot = 0; slot < num_slots; ++slot) {
-    if (provisional_members[slot].size() < min_size) continue;
-    keep[slot] = true;
-    index.defs_.push_back(std::move(slots->defs[slot]));
-  }
-  if (Status s = index.FinalizeAdjacency(provisional_members, keep, num_users);
-      !s.ok()) {
-    return s;
-  }
+  UserRows rows = [&] {
+    telemetry::Span members_span("group_index.members");
+    return AssignUserRows(
+        "group_index.assign", repository.user_count(), num_slots,
+        [&](UserId u, std::vector<GroupId>& row) {
+          slots->table.AppendGroups(repository.user(u), row);
+        });
+  }();
+  // Empty groups are always dropped, with the undersized ones.
+  Result<GroupIndex> index =
+      FromUserRows(std::move(slots->defs), std::move(rows),
+                   std::max<std::size_t>(options.min_group_size, 1));
+  if (!index.ok()) return index;
+  index->buckets_per_property_ = std::move(slots->buckets_per_property);
 
   if (telemetry::Enabled()) {
     auto& registry = telemetry::MetricsRegistry::Global();
     registry.counter("group_index.builds").Add();
     registry.counter("group_index.groups")
-        .Add(static_cast<std::uint64_t>(index.defs_.size()));
+        .Add(static_cast<std::uint64_t>(index->group_count()));
     registry.counter("group_index.pruned_groups")
-        .Add(static_cast<std::uint64_t>(num_slots - index.defs_.size()));
+        .Add(static_cast<std::uint64_t>(num_slots - index->group_count()));
     registry.counter("group_index.links")
-        .Add(static_cast<std::uint64_t>(index.link_count()));
+        .Add(static_cast<std::uint64_t>(index->link_count()));
   }
   return index;
 }
@@ -404,34 +366,21 @@ Result<GroupIndex> GroupIndex::FromDefs(const ProfileRepository& repository,
       return Status::OutOfRange("group definition references unknown property");
     }
   }
-
-  // Each definition scans the repository independently.
-  std::vector<std::vector<UserId>> members(defs.size());
-  util::ParallelFor(
-      "group_index.from_defs", defs.size(),
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t d = begin; d < end; ++d) {
-          for (UserId u = 0; u < repository.user_count(); ++u) {
-            const auto score = repository.user(u).Get(defs[d].property);
-            if (score.has_value() && defs[d].bucket.Contains(*score)) {
-              members[d].push_back(u);
-            }
+  UserRows rows = AssignUserRows(
+      "group_index.from_defs", repository.user_count(), defs.size(),
+      [&](UserId u, std::vector<GroupId>& row) {
+        const UserProfile& profile = repository.user(u);
+        for (std::size_t d = 0; d < defs.size(); ++d) {
+          const auto score = profile.Get(defs[d].property);
+          if (score.has_value() && defs[d].bucket.Contains(*score)) {
+            row.push_back(static_cast<GroupId>(d));
           }
         }
-      },
-      1);
-
-  GroupIndex index;
-  index.buckets_per_property_.resize(repository.property_count());
-  std::vector<bool> keep(defs.size(), false);
-  for (std::size_t d = 0; d < defs.size(); ++d) {
-    if (members[d].empty()) continue;  // empty groups can never be covered
-    keep[d] = true;
-    index.defs_.push_back(std::move(defs[d]));
-  }
-  if (Status s = index.FinalizeAdjacency(members, keep, repository.user_count());
-      !s.ok()) {
-    return s;
+      });
+  // Empty groups can never be covered.
+  Result<GroupIndex> index = FromUserRows(std::move(defs), std::move(rows), 1);
+  if (index.ok()) {
+    index->buckets_per_property_.resize(repository.property_count());
   }
   return index;
 }
@@ -443,22 +392,24 @@ Result<GroupIndex> GroupIndex::FromMembership(
     return Status::InvalidArgument(
         "FromMembership: defs and member lists disagree in size");
   }
-  for (const std::vector<UserId>& list : members) {
+  std::vector<std::vector<GroupId>> groups_of(num_users);
+  for (GroupId g = 0; g < members.size(); ++g) {
+    const std::vector<UserId>& list = members[g];
     for (std::size_t i = 0; i < list.size(); ++i) {
       if (list[i] >= num_users || (i > 0 && list[i] <= list[i - 1])) {
         return Status::InvalidArgument(
             "FromMembership: member lists must be strictly ascending, "
             "in-range user ids");
       }
+      groups_of[list[i]].push_back(g);
     }
   }
-  GroupIndex index;
-  index.defs_ = std::move(defs);
-  const std::vector<bool> keep(members.size(), true);
-  if (Status s = index.FinalizeAdjacency(members, keep, num_users); !s.ok()) {
-    return s;
-  }
-  return index;
+  UserRows rows = AssignUserRows(
+      "group_index.from_membership", num_users, defs.size(),
+      [&](UserId u, std::vector<GroupId>& row) {
+        row.insert(row.end(), groups_of[u].begin(), groups_of[u].end());
+      });
+  return FromUserRows(std::move(defs), std::move(rows), 0);
 }
 
 std::size_t GroupIndex::MaxGroupSize() const {

@@ -22,26 +22,21 @@ Status BuildShard(const ProfileRepository& repository,
   out->global_ids = std::move(users);
   const std::size_t n_local = out->global_ids.size();
 
-  // Local member lists per GLOBAL group id — the same entry → group
-  // lookup GroupIndex::Build performs, restricted to this shard's users;
-  // local ids are positions in the ascending global list. Locally-empty
-  // groups stay (FromMembership keeps them), preserving the shared id
-  // space.
-  std::vector<std::vector<UserId>> members(scheme.group_count());
-  {
+  // The same entry → group lookup GroupIndex::Build performs, restricted
+  // to this shard's users; local ids are positions in the ascending global
+  // list. Locally-empty groups stay, preserving the shared id space.
+  UserRows rows = [&] {
     telemetry::Span assign_span("shard.build.assign");
-    for (UserId local = 0; local < n_local; ++local) {
-      for (const PropertyScore& entry :
-           repository.user(out->global_ids[local]).entries()) {
-        const GroupId g = scheme.table.GroupOfEntry(entry);
-        if (g != kInvalidGroup) members[g].push_back(local);
-      }
-    }
-  }
-
+    return AssignUserRows(
+        "shard.build.assign", n_local, scheme.group_count(),
+        [&](UserId local, std::vector<GroupId>& row) {
+          scheme.table.AppendGroups(
+              repository.user(out->global_ids[local]), row);
+        });
+  }();
   Result<GroupIndex> index = [&] {
     telemetry::Span finalize_span("shard.build.finalize");
-    return GroupIndex::FromMembership(scheme.defs, members, n_local);
+    return GroupIndex::FromUserRows(scheme.defs, std::move(rows), 0);
   }();
   if (!index.ok()) return index.status();
 
